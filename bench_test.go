@@ -502,24 +502,29 @@ func BenchmarkCollectiveN64(b *testing.B)   { benchCollectives(b, 64) }
 func BenchmarkCollectiveN256(b *testing.B)  { benchCollectives(b, 256) }
 func BenchmarkCollectiveN1024(b *testing.B) { benchCollectives(b, 1024) }
 
-// BenchmarkPutFence measures the one-sided hot loop: rank 0 Puts a 1024-
-// element slab into rank 1's window and closes the epoch with a fence, once
-// per iteration. Put itself must stay 0 allocs/op in steady state (the
-// deposit pool recycles); the fence settles the epoch's accounting. Gated
-// by benchgate like the send/recv pair it replaces on the refresh path.
-func BenchmarkPutFence(b *testing.B) {
+// BenchmarkPutPSCW measures the one-sided hot loop: rank 0 Puts a 1024-
+// element slab into rank 1's window inside one pairwise epoch per
+// iteration — rank 1 posts, rank 0 starts, Puts and completes, rank 1
+// waits. Put itself must stay 0 allocs/op in steady state (the deposit
+// list recycles); the complete/wait pair settles the epoch's accounting.
+// Gated by benchgate like the send/recv pair it replaces on the refresh
+// path.
+func BenchmarkPutPSCW(b *testing.B) {
 	b.ReportAllocs()
 	payload := make([]float64, 1024)
 	err := mpi.Run(cluster.New(cluster.Uniform(2)), func(c *mpi.Comm) error {
 		g := c.World().NewGroup([]int{0, 1})
 		win := c.WinCreate(g, make(mpi.FlatMem, len(payload)))
-		c.Fence(win) // open the access epoch
-		peer := 1 - c.Rank()
+		origin, target := []int{0}, []int{1}
 		for i := 0; i < b.N; i++ {
 			if c.Rank() == 0 {
-				c.Put(win, peer, 0, payload)
+				c.WinStart(win, target)
+				c.Put(win, 1, 0, payload)
+				c.WinComplete(win)
+			} else {
+				c.WinPost(win, origin)
+				c.WinWait(win)
 			}
-			c.Fence(win)
 		}
 		return nil
 	})
@@ -528,31 +533,11 @@ func BenchmarkPutFence(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicaRefreshRMA runs the one-sided refresh study at the 64-rank
-// acceptance size once per iteration and fails unless the deferred-epoch
-// refresh cuts the holder-side replica stall by at least 30% versus the
-// paired send/recv refresh. Pinned to the legacy full-group fence so the
-// original measurement stays comparable across history; the pairwise-epoch
-// successor is BenchmarkReplicaRefreshPSCW.
-func BenchmarkReplicaRefreshRMA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunRMA(exp.RMAOptions{Nodes: []int{64}, Sync: core.SyncFence})
-		if err != nil {
-			b.Fatal(err)
-		}
-		red := res.MinReduction()
-		if red < 0.30 {
-			b.Fatalf("stall reduction %.1f%% below the 30%% acceptance bar", red*100)
-		}
-		b.ReportMetric(red*100, "stall-reduction-%")
-	}
-}
-
 // BenchmarkReplicaRefreshPSCW is the refresh study under the default
 // pairwise post/start/complete/wait epochs. On top of the 30% stall bar it
 // enforces the scalability fix the pairwise handshake exists for: the
 // one-sided makespan must not exceed the paired-transport makespan (the
-// regression the fence's dissemination barrier caused at scale).
+// regression a full-group barrier per epoch caused at scale).
 func BenchmarkReplicaRefreshPSCW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunRMA(exp.RMAOptions{Nodes: []int{64}})

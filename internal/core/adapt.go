@@ -45,10 +45,16 @@ func (rt *Runtime) BeginCycle() bool {
 	if !rt.cfg.Adapt {
 		return true
 	}
-	if len(rt.pendingDead) > 0 {
+	if len(rt.pendingDead) > 0 && !rt.anyActive(rt.pendingDead) {
 		// A death detected mid-cycle (failed collective, redistribution
 		// receive, replica refresh) is recovered here, the one point every
-		// surviving active rank is guaranteed to reach.
+		// surviving active rank is guaranteed to reach. A dead *active*
+		// rank is left to the load exchange below instead: point-to-point
+		// detection may have reached only some survivors (a pairwise epoch
+		// fails only for the dead rank's partners), and the exchange over
+		// the current group fails for every survivor alike, so all of them
+		// recover at the same collective and none runs an exchange the
+		// others skip.
 		rt.handleFailure()
 	}
 

@@ -63,18 +63,16 @@ const (
 
 // Reserved tag space: user tags must stay below tagBase.
 const (
-	tagBase       = 1 << 20
-	tagRedist     = tagBase // + array registration index
-	tagGlobal     = tagBase + 512
-	tagDone       = tagBase + 513
-	tagPing       = tagBase + 514
-	tagLoadReply  = tagBase + 515
-	tagRejoin     = tagBase + 516
-	tagBootstrap  = tagBase + 517  // joiner bootstrap packet (resize.go)
-	tagReplica    = tagBase + 1024 // + array registration index (buddy-replica refresh)
-	tagRecover    = tagBase + 1536 // + array registration index (failure recovery)
-	tagRedistSync = tagBase + 2048 // + array registration index (RMA commit marker sync)
-	tagAdaptive   = tagBase + 2560 // + array registration index (adaptive paired replica slab)
+	tagBase      = 1 << 20
+	tagRedist    = tagBase // + array registration index
+	tagGlobal    = tagBase + 512
+	tagDone      = tagBase + 513
+	tagPing      = tagBase + 514
+	tagLoadReply = tagBase + 515
+	tagRejoin    = tagBase + 516
+	tagBootstrap = tagBase + 517  // joiner bootstrap packet (resize.go)
+	tagReplica   = tagBase + 1024 // + array registration index (buddy-replica refresh)
+	tagRecover   = tagBase + 1536 // + array registration index (failure recovery)
 )
 
 // Config parameterises the runtime (the DMPI_init arguments plus the
@@ -120,25 +118,21 @@ type Config struct {
 	// captured, so a smaller interval means fresher recovered data.
 	ReplicaEvery int
 	// ReplicaRMA switches the replica refresh from paired send/recv to
-	// one-sided Puts into the buddy's replica window with a deferred
-	// epoch-closing fence (rma.go): the holder no longer stalls in a
+	// one-sided Puts into the buddy's replica window under a deferred
+	// pairwise (PSCW) epoch (rma.go): the holder no longer stalls in a
 	// paired receive during the refresh cycle, because the epoch opened at
 	// one refresh point is not settled until the next one — a full cycle of
 	// computation hides the wire. Recovery content is identical to the
-	// paired path at the same ReplicaEvery staleness.
+	// paired path at the same ReplicaEvery staleness. When the slabs are so
+	// large that one cycle cannot hide their wire time, leave it off.
 	ReplicaRMA bool
-	// ReplicaSync selects how an RMA replica refresh synchronises its
-	// epochs (only meaningful with ReplicaRMA). The zero value SyncPSCW is
-	// the pairwise post/start/complete/wait protocol: each (holder, buddy)
-	// pair settles with two 8-byte control messages instead of the legacy
-	// full-group fence, whose dissemination barrier is what made 256-rank
-	// makespan tick up even as stall vanished. SyncFence keeps the legacy
-	// fence path; SyncAdaptive picks paired-p2p vs deferred-Put transport
-	// per refresh from the measured cycle/wire ratio (see rma.go).
+	// ReplicaSync is ignored: the one-sided refresh always synchronises
+	// pairwise (SyncPSCW, the only value). It is kept so configurations
+	// that name it still compile.
 	ReplicaSync ReplicaSyncMode
 	// RedistMode selects how redistribution Phase 3 drains incoming slabs
 	// (see the constants; the zero value RedistPipelined keeps virtual
-	// timing byte-identical to the legacy blocking drain).
+	// timing byte-identical to a serial blocking drain).
 	RedistMode RedistMode
 	// Telemetry, when non-nil, receives a structured record for every
 	// adaptation action: per-cycle iteration breakdowns, distribution
@@ -166,31 +160,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// ReplicaSyncMode selects the epoch synchronisation of the one-sided
-// replica refresh (Config.ReplicaSync, only with ReplicaRMA).
+// ReplicaSyncMode is the type of the ignored Config.ReplicaSync field.
 type ReplicaSyncMode int
 
-const (
-	// SyncPSCW (default): pairwise general active-target sync. Each rank
-	// posts its windows to its ring predecessor, starts toward its
-	// successor, Puts its slab, completes, and waits — two 8-byte control
-	// messages per pair per refresh, O(1) in the group size, against the
-	// fence's ceil(log2 n) dissemination rounds paid by every member. Same
-	// deferred-epoch staleness and bit-identical recovery content as the
-	// fence path.
-	SyncPSCW ReplicaSyncMode = iota
-	// SyncFence is the legacy full-group fence synchronisation (PR 7's
-	// shape), kept as the equivalence oracle and for measuring the barrier
-	// cost the pairwise protocol removes.
-	SyncFence
-	// SyncAdaptive runs the PSCW handshake every refresh but lets each
-	// holder choose, per pair, between the deferred one-sided Put (wire
-	// hidden behind the next cycle) and an immediate paired send/recv
-	// (fresher replica) from its measured cycle/wire ratio; the verdict
-	// travels in-band on the post notification, so both ends of a pair
-	// agree without any global agreement step.
-	SyncAdaptive
-)
+// SyncPSCW is the only replica synchronisation: each rank posts its
+// windows to its ring predecessor, starts toward its successor, Puts its
+// slab, completes, and waits — two 8-byte control messages per pair per
+// refresh, O(1) in the group size.
+const SyncPSCW ReplicaSyncMode = 0
 
 // RedistMode selects the Phase 3 drain strategy of applyDistribution.
 type RedistMode int
@@ -199,29 +176,29 @@ const (
 	// RedistPipelined (default): post all Irecvs up front, Isend the
 	// outgoing slabs, harvest completions physically with Waitany, then
 	// commit in deterministic schedule order with replay-priced Waits.
-	// Virtual clocks, golden traces and checksums are byte-identical to
-	// RedistBlocking; only the simulator's wall-clock behaviour changes
-	// (senders fill posted requests directly and the receiver parks once
-	// per arrival instead of once per in-order transfer).
+	// Virtual clocks, golden traces and checksums are byte-identical to a
+	// serial blocking drain (one RecvErr per transfer in schedule order,
+	// kept as the test reference); only the simulator's wall-clock
+	// behaviour differs (senders fill posted requests directly and the
+	// receiver parks once per arrival instead of once per in-order
+	// transfer).
 	RedistPipelined RedistMode = iota
-	// RedistBlocking is the legacy serial drain: one blocking RecvErr per
-	// transfer, in schedule order. Kept as the equivalence oracle the
-	// randomized-order suite compares against.
-	RedistBlocking
 	// RedistOverlap commits in deterministic arrival order — transfers
 	// sorted by (arrival stamp, schedule index), dead-sender transfers
 	// last — so a slab stuck behind a slow sender no longer head-of-line
 	// blocks the unpacking of already-arrived ones. Virtual redistribution
 	// stall drops (Event.Stall records it); the virtual timeline
-	// legitimately differs from the blocking one, so this mode is opt-in.
+	// legitimately differs from the pipelined one, so this mode is opt-in.
 	RedistOverlap
 	// RedistRMA commits dense transfers through one-sided windows
 	// (rma.go): after the resident windows resize, each receiver exposes
-	// its new window and senders Put packed row slabs directly at
-	// destination offsets computed from the schedule, collapsing the
-	// Phase-3 harvest/commit into a fence. The receiver pays no per-message
-	// CPU and no commit touches (the deposit is a modelled DMA); sparse
-	// arrays fall back to the blocking drain. Opt-in, like RedistOverlap.
+	// its new window to its senders and each sender Puts packed row slabs
+	// directly at destination offsets computed from the schedule, one
+	// pairwise (PSCW) epoch per receiver — only the schedule's real
+	// (sender, receiver) pairs synchronise. The receiver pays no
+	// per-message CPU and no commit touches (the deposit is a modelled
+	// DMA); sparse arrays take the pipelined drain. Opt-in, like
+	// RedistOverlap.
 	RedistRMA
 )
 
@@ -368,13 +345,6 @@ type Runtime struct {
 	repNext     int                 // ring successor at the last open (world rank)
 	repOpen     bool                // a replica epoch is open (deposits or handshake pending)
 	repPend     map[string]repRange // range Put into this rank's window this epoch
-	repDirect   bool                // adaptive: this epoch's incoming slabs arrived paired (already committed)
-	repMark     vclock.Time         // adaptive: clock at the END of the last refresh
-	repMarked   bool                // adaptive: repMark holds a real previous refresh
-	repSpan     vclock.Duration     // adaptive: compute window between the last two refreshes
-	repSpanOK   bool                // adaptive: repSpan is a real measurement
-	adaptPut    int                 // adaptive refreshes that chose the deferred one-sided Put
-	adaptSend   int                 // adaptive refreshes that chose the immediate paired send
 	fetchWins   map[string]*mpi.Win // joiner-fetch window per dense array (Get under PSCW)
 	fetchGroup  *mpi.Group          // group the fetch windows span
 	redistWins  map[string]*mpi.Win // redistribution window per dense array
@@ -385,6 +355,7 @@ type Runtime struct {
 	// schedules or bookkeeping (see redist.go for the slab pool invariants).
 	schedBuf     []drsd.Transfer
 	restBuf      []drsd.Transfer // schedule minus joiner-fetch transfers
+	peerBuf      []int           // distinct senders a one-sided commit posts to
 	destBuf      []int
 	outsBuf      []redistOut
 	fetchOutsBuf []redistOut // joiner-bound outgoing transfers (pulled, not pushed)

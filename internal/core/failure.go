@@ -21,16 +21,18 @@ import (
 //     may immediately shrink the membership (absorbFailure) and retry over
 //     the rebuilt group.
 //   - Point-to-point errors (RecvErr during a redistribution or replica
-//     refresh) may be observed by only some ranks mid-protocol. Those sites
-//     only record the death (absorbDead); an asymmetric group rebuild there
-//     could leave peers waiting on a group the observer abandoned. The
-//     trailing collective of the protocol fails for everyone, so by the
-//     next cycle boundary all survivors agree.
+//     refresh, a failed pairwise epoch) may be observed by only some ranks
+//     mid-protocol. Those sites only record the death (absorbDead); an
+//     asymmetric group rebuild there could leave peers waiting on a group
+//     the observer abandoned.
 //
-// Recovery itself (handleFailure) runs at the top of BeginCycle — a point
-// every surviving active rank reaches — and, when the dead ranks held data,
-// executes a recovery redistribution that reconstructs their rows from
-// buddy replicas (Config.Replicate) or declares them lost.
+// Recovery itself (handleFailure) runs in BeginCycle — a point every
+// surviving active rank reaches. A dead active rank makes the cycle's load
+// exchange fail for every survivor alike, so all of them recover there
+// together, whether or not they saw the death earlier; a recorded death
+// outside the active set is recovered before the exchange. When the dead
+// ranks held data, recovery executes a redistribution that reconstructs
+// their rows from buddy replicas (Config.Replicate) or declares them lost.
 
 // LostRange identifies rows of one array that could not be reconstructed
 // after a failure: they were zero-filled and the application must treat
@@ -44,7 +46,7 @@ type LostRange struct {
 // array, refreshed by refreshReplicas (paired send/recv) or through the
 // one-sided window machinery in rma.go. data always holds the committed
 // replica; stage is the window memory remote Puts land in under ReplicaRMA,
-// promoted to data only when the epoch-closing fence settles — so an epoch
+// promoted to data only when the epoch-closing wait settles — so an epoch
 // that can no longer settle (the origin died mid-cycle without depositing)
 // leaves the committed replica intact.
 type replica struct {
@@ -183,9 +185,9 @@ func (rt *Runtime) handleFailure() {
 func (rt *Runtime) recoverDistribution(newDist *drsd.Block, dead []int) {
 	if rt.cfg.ReplicaRMA {
 		// Settle the replica epoch left open by the last refresh before any
-		// replica is read: the fence fails (the old replica group contains
-		// the dead ranks) and the adoption protocol decides, per array,
-		// whether the dead predecessor's deposit landed in full (rma.go).
+		// replica is read: a dead ring neighbour fails the pairwise close
+		// and the adoption protocol decides, per array, whether the dead
+		// predecessor's deposit landed in full (rma.go).
 		rt.closeReplicaEpoch()
 	}
 	rt.record(EvRedistStart, 0, "failure")
@@ -558,6 +560,16 @@ func intersect(lo, hi int, rep *replica) (int, int) {
 		return lo, lo
 	}
 	return plo, phi
+}
+
+// anyActive reports whether any of ranks is an active member.
+func (rt *Runtime) anyActive(ranks []int) bool {
+	for _, r := range ranks {
+		if containsInt(rt.active, r) {
+			return true
+		}
+	}
+	return false
 }
 
 func containsInt(s []int, v int) bool {

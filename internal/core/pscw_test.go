@@ -7,83 +7,26 @@ import (
 	"repro/internal/fault"
 )
 
-// Replica-sync mode suites: the pairwise PSCW refresh (default), the
-// legacy fence refresh (the equivalence oracle PR 7 shipped), and the
-// adaptive per-pair mode. The default-mode crash matrix, leak checks and
-// determinism suites live in rma_test.go and now exercise SyncPSCW; this
-// file pins what is specific to the mode split.
+// Pairwise-epoch suites that go beyond the crash matrix, leak checks and
+// determinism suites in rma_test.go: paired-vs-one-sided value identity,
+// recovery determinism on a wider crash, redistribution byte conservation
+// across every Phase-3 drain, and a wide ring.
 
-// replicaFenceCfg is replicaRMACfg pinned to the legacy full-group fence.
-func replicaFenceCfg() Config {
-	cfg := replicaRMACfg()
-	cfg.ReplicaSync = SyncFence
-	return cfg
-}
-
-// replicaAdaptiveCfg is replicaRMACfg with the per-pair adaptive verdict.
-func replicaAdaptiveCfg() Config {
-	cfg := replicaRMACfg()
-	cfg.ReplicaSync = SyncAdaptive
-	return cfg
-}
-
-// TestReplicaSyncFenceRegression keeps the legacy fence mode working now
-// that the default moved to PSCW: crash recovery stays bit-exact and
-// leak-free through the full-group fence adoption protocol.
-func TestReplicaSyncFenceRegression(t *testing.T) {
-	for _, cycle := range []int{1, 6, 13} {
-		spec := cluster.Uniform(3)
-		spec.Faults = []fault.Fault{fault.CrashAtCycle(2, cycle)}
-		results, leaked := runRMAMini(t, spec, replicaFenceCfg(), 48, 4, 20)
-		if len(results) != 2 {
-			t.Fatalf("cycle %d: %d ranks reported, want the 2 survivors", cycle, len(results))
-		}
-		checkRMAValues(t, results, 48)
-		for r, res := range results {
-			if res.lost != 0 {
-				t.Errorf("cycle %d: rank %d lost %d rows", cycle, r, res.lost)
-			}
-		}
-		if leaked != 0 {
-			t.Errorf("cycle %d: %d deposits leaked", cycle, leaked)
-		}
-	}
-}
-
-// TestReplicaSyncPSCWBeatsFence pins the tentpole's scaling claim at the
-// runtime level: with per-cycle refreshes, every rank must finish strictly
-// earlier under pairwise sync than under the fence — the dissemination
-// butterfly is pure overhead the pairwise handshake does not pay.
-func TestReplicaSyncPSCWBeatsFence(t *testing.T) {
-	const n, rowLen, cycles = 64, 64, 12
-	fenceRes, _ := runRMAMini(t, cluster.Uniform(8), replicaFenceCfg(), n, rowLen, cycles)
-	pscwRes, leaked := runRMAMini(t, cluster.Uniform(8), replicaRMACfg(), n, rowLen, cycles)
-	checkRMAValues(t, fenceRes, n)
-	checkRMAValues(t, pscwRes, n)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r := range pscwRes {
-		if pscwRes[r].final >= fenceRes[r].final {
-			t.Errorf("rank %d: PSCW finish %v not strictly before fence finish %v",
-				r, pscwRes[r].final, fenceRes[r].final)
-		}
-	}
-}
-
-// TestReplicaSyncModesSameValues: all three sync modes are transport-only
-// choices — each must end with identical bit-exact array contents and
-// identical final distributions on every rank.
+// TestReplicaSyncModesSameValues: the replica synchronisation modes left —
+// the paired send/recv refresh and the one-sided refresh over pairwise
+// epochs (ReplicaSync's only value, set explicitly here) — are
+// transport-only choices: both must end with identical bit-exact array
+// contents on every rank, leak-free.
 func TestReplicaSyncModesSameValues(t *testing.T) {
 	const n, rowLen, cycles = 48, 4, 15
+	paired := replicaRMACfg()
+	paired.ReplicaRMA = false
+	pscw := replicaRMACfg()
+	pscw.ReplicaSync = SyncPSCW
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{
-		{"fence", replicaFenceCfg()},
-		{"pscw", replicaRMACfg()},
-		{"adaptive", replicaAdaptiveCfg()},
-	} {
+	}{{"paired", paired}, {"pscw", pscw}} {
 		results, leaked := runRMAMini(t, cluster.Uniform(4), tc.cfg, n, rowLen, cycles)
 		checkRMAValues(t, results, n)
 		if leaked != 0 {
@@ -92,69 +35,9 @@ func TestReplicaSyncModesSameValues(t *testing.T) {
 	}
 }
 
-// TestReplicaSyncAdaptivePicksPut: with the default fast cycles (compute
-// dwarfs the slab wire time) every adaptive verdict after the first mark
-// must stay with the deferred Put — the cheap steady-state choice.
-func TestReplicaSyncAdaptivePicksPut(t *testing.T) {
-	results, leaked := runRMAMini(t, cluster.Uniform(4), replicaAdaptiveCfg(), 64, 4, 12)
-	checkRMAValues(t, results, 64)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r, res := range results {
-		if res.adaptPut == 0 {
-			t.Errorf("rank %d made no put-mode refreshes", r)
-		}
-		if res.adaptSend != 0 {
-			t.Errorf("rank %d chose %d paired refreshes despite wire ≪ cycle span", r, res.adaptSend)
-		}
-	}
-}
-
-// TestReplicaSyncAdaptivePicksSend: with slabs so large the wire time
-// exceeds the cycle span, the verdict must flip to immediate paired sends
-// — a deferred Put could never hide behind one cycle of computation.
-func TestReplicaSyncAdaptivePicksSend(t *testing.T) {
-	// 16 rows/rank × 32768 × 8 B ≈ 4.2 MB/slab ≈ 0.34 s on the default
-	// 12.5 MB/s wire, against a 16-iteration × 10 ms ≈ 0.16 s cycle.
-	results, leaked := runRMAMini(t, cluster.Uniform(4), replicaAdaptiveCfg(), 64, 32768, 6)
-	checkRMAValues(t, results, 64)
-	if leaked != 0 {
-		t.Fatalf("%d deposits leaked", leaked)
-	}
-	for r, res := range results {
-		if res.adaptSend == 0 {
-			t.Errorf("rank %d never flipped to paired sends despite wire > cycle span (put=%d)", r, res.adaptPut)
-		}
-	}
-}
-
-// TestReplicaSyncAdaptiveCrash drives the adaptive mode through the crash
-// matrix: whatever the per-epoch transport, recovery must stay exact and
-// leak-free (the adoption guard skips epochs whose slabs arrived paired).
-func TestReplicaSyncAdaptiveCrash(t *testing.T) {
-	for _, cycle := range []int{1, 6, 13} {
-		spec := cluster.Uniform(3)
-		spec.Faults = []fault.Fault{fault.CrashAtCycle(1, cycle)}
-		results, leaked := runRMAMini(t, spec, replicaAdaptiveCfg(), 48, 4, 20)
-		if len(results) != 2 {
-			t.Fatalf("cycle %d: %d ranks reported", cycle, len(results))
-		}
-		checkRMAValues(t, results, 48)
-		for r, res := range results {
-			if res.lost != 0 {
-				t.Errorf("cycle %d: rank %d lost %d rows", cycle, r, res.lost)
-			}
-		}
-		if leaked != 0 {
-			t.Errorf("cycle %d: %d deposits leaked", cycle, leaked)
-		}
-	}
-}
-
-// TestReplicaSyncPSCWCrashDeterminism mirrors the fence determinism suite
-// under pairwise sync: the pairwise adoption protocol must make recovery
-// independent of physical scheduling.
+// TestReplicaSyncPSCWCrashDeterminism: the pairwise adoption protocol must
+// make recovery independent of physical scheduling — two runs of a crash
+// on a four-rank ring finish identically.
 func TestReplicaSyncPSCWCrashDeterminism(t *testing.T) {
 	run := func() map[int]*rmaResult {
 		spec := cluster.Uniform(4)
@@ -197,29 +80,25 @@ func sumRedistBytes(events map[int][]Event) (sent, recv, legacy int64) {
 // counter hid when summed across ranks).
 func TestRedistBytesConservation(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  func() Config
+		name      string
+		mode      RedistMode
+		reference bool // drive Phase 3 through the serial reference drain
 	}{
-		{"blocking", func() Config {
-			cfg := DefaultConfig()
-			cfg.Drop = DropNever
-			cfg.RedistMode = RedistBlocking
-			return cfg
-		}},
-		{"pipelined", func() Config {
-			cfg := DefaultConfig()
-			cfg.Drop = DropNever
-			return cfg
-		}},
-		{"rma", func() Config {
-			cfg := DefaultConfig()
-			cfg.Drop = DropNever
-			cfg.RedistMode = RedistRMA
-			return cfg
-		}},
+		{"reference", RedistPipelined, true},
+		{"pipelined", RedistPipelined, false},
+		{"rma", RedistRMA, false},
 	} {
+		cfg := DefaultConfig()
+		cfg.Drop = DropNever
+		cfg.RedistMode = tc.mode
 		spec := cpAtCycle(cluster.Uniform(4), 1, 3)
-		results, _ := runRMAMini(t, spec, tc.cfg(), 64, 4, 25)
+		var results map[int]*rmaResult
+		run := func() { results, _ = runRMAMini(t, spec, cfg, 64, 4, 25) }
+		if tc.reference {
+			withReferenceDrain(run)
+		} else {
+			run()
+		}
 		events := map[int][]Event{}
 		redists := 0
 		for r, res := range results {

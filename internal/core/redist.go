@@ -10,10 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// redistDone marks an array whose Phase 3 was fully committed through the
-// one-sided path (rma.go) — nothing left for the message-passing drains.
-const redistDone RedistMode = -1
-
 // commitSlab unpacks one received slab into a's resident window — charging
 // the same virtual touches as the per-row formulation (PutRows/UnpackRows
 // price every row) — and recycles the slab.
@@ -119,6 +115,12 @@ type redistIn struct {
 	req    *mpi.Request
 }
 
+// redistDrain is the message-passing Phase-3 drain. Production always runs
+// drainNonblocking; the equivalence suites swap in the serial blocking
+// reference drain (a test file) to pin the pipelined engine's
+// byte-identical contract against it.
+var redistDrain = (*Runtime).drainNonblocking
+
 // redistHarvestShuffle, when non-nil, replaces the Waitany harvest loop of
 // the nonblocking drain: it receives the posted requests and must claim
 // each exactly once, in any order it likes. The randomized-order
@@ -152,7 +154,7 @@ func arrivalLess(ins []redistIn, a, b int) bool {
 func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 	if rt.cfg.ReplicaRMA {
 		// Settle the replica epoch opened at the last refresh point before
-		// any rows move: the group is intact here, so the fence succeeds and
+		// any rows move: the group is intact here, so the wait succeeds and
 		// the replicas commit at their pre-redistribution ranges.
 		rt.closeReplicaEpoch()
 	}
@@ -165,7 +167,6 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 	}
 	lost0 := rt.lostRows
 	stall0 := rt.comm.RecvStall
-	rmaDown := false // a fence failed: remaining arrays use the blocking drain
 	olo, ohi := rt.dist.RangeOf(me)
 
 	// Resized-in ranks own nothing under the old distribution; in RMA mode
@@ -203,7 +204,6 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 			rt.schedBuf = drsd.ScheduleWindowsInto(rt.schedBuf[:0], rt.dist, newDist, a.accesses)
 		}
 		sched := rt.schedBuf
-		tag := tagRedist + a.index
 
 		// Split off joiner-bound transfers: the fetch protocol moves them
 		// before the push phase, and the push paths run on the remainder.
@@ -211,7 +211,7 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 		// identically (the fetch windows register collectively).
 		rest := sched
 		fetch := false
-		if len(newcomer) > 0 && a.dense != nil && !rmaDown {
+		if len(newcomer) > 0 && a.dense != nil {
 			for _, tr := range sched {
 				if newcomer[tr.To] {
 					fetch = true
@@ -329,12 +329,10 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 			a.sparse.SetWindow(wlo, whi)
 		}
 
-		// Phase 3: exchange exactly the rows the schedule demands. The
-		// nonblocking drain (default) posts every Irecv before shipping, so
-		// peers fill the posted requests directly and this rank parks once
-		// per arrival instead of once per in-order transfer; the blocking
-		// drain is the legacy oracle. Either way the commit — the only part
-		// that advances virtual time — runs in a deterministic order.
+		// Phase 3: exchange exactly the rows the schedule demands. Dense
+		// arrays under RedistRMA land one-sided; everything else takes the
+		// nonblocking drain. Either way the commit — the only part that
+		// advances virtual time — runs in a deterministic order.
 		mv := telemetry.ArrayMove{Name: name}
 		if fetch {
 			// Joiner-bound transfers move first, one-sided: sources expose
@@ -342,135 +340,17 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 			// member participates (the fetch windows register collectively).
 			rt.rmaFetchArray(a, sched, newDist, newcomer, fetchOuts, fbuf, &mv, &bytesSent, &bytesRecv)
 		}
-		mode := rt.cfg.RedistMode
-		if mode == RedistRMA {
-			// One-sided commit for dense arrays while the windows are healthy;
-			// sparse arrays — and every array after a fence failure — take the
-			// blocking drain, whose failure handling is self-contained.
-			committed := false
-			if a.dense != nil && !rmaDown {
-				var down bool
-				committed, down = rt.rmaRedistArray(a, rest, newDist, outs, &mv, &bytesSent, &bytesRecv)
-				if down {
-					rmaDown = true
-				}
-			}
-			if committed {
-				mode = redistDone
-			} else {
-				mode = RedistBlocking
-			}
+		var rows int
+		var sent, recv int64
+		if rt.cfg.RedistMode == RedistRMA && a.dense != nil {
+			rows, sent, recv = rt.rmaRedistArray(a, rest, newDist, outs)
+		} else {
+			rows, sent, recv = redistDrain(rt, a, rest, outs)
 		}
-		if mode == RedistBlocking {
-			for i := range outs {
-				m := &outs[i]
-				if m.dense != nil {
-					rt.comm.Send(m.to, tag, m.dense, m.bytes)
-					m.dense = nil
-				} else {
-					rt.comm.Send(m.to, tag, m.spars, m.bytes)
-					m.spars = nil
-				}
-				mv.Rows += m.rows
-				mv.Bytes += int64(m.bytes)
-				bytesSent += int64(m.bytes)
-			}
-			for _, tr := range rest {
-				if tr.To != me {
-					continue
-				}
-				payload, st, err := rt.comm.RecvErr(tr.From, tag)
-				if err != nil {
-					// The sender died before shipping these rows. Record the
-					// death and declare the rows lost; the recovery pass at the
-					// next cycle boundary may still restore them from a replica.
-					rt.absorbDead(rt.deadOf(err))
-					rt.loseRows(a, tr.Lo, tr.Hi)
-					continue
-				}
-				bytesRecv += int64(st.Bytes)
-				rt.commitSlab(a, tr.Lo, tr.Hi, payload)
-			}
-		} else if mode != redistDone {
-			// Post all Irecvs up front (no virtual charge).
-			ins := rt.insBuf[:0]
-			for _, tr := range rest {
-				if tr.To != me {
-					continue
-				}
-				ins = append(ins, redistIn{lo: tr.Lo, hi: tr.Hi, req: rt.comm.Irecv(tr.From, tag)})
-			}
-			rt.insBuf = ins
-			// Isend the outgoing slabs: the same injection charges, in the
-			// same order, as the blocking path's Sends. Send requests
-			// complete at post; Waitall only recycles them.
-			reqs := rt.reqBuf[:0]
-			for i := range outs {
-				m := &outs[i]
-				if m.dense != nil {
-					reqs = append(reqs, rt.comm.Isend(m.to, tag, m.dense, m.bytes))
-					m.dense = nil
-				} else {
-					reqs = append(reqs, rt.comm.Isend(m.to, tag, m.spars, m.bytes))
-					m.spars = nil
-				}
-				mv.Rows += m.rows
-				mv.Bytes += int64(m.bytes)
-				bytesSent += int64(m.bytes)
-			}
-			rt.comm.Waitall(reqs)
-			// Harvest completions physically, in whatever order they
-			// arrive. No clock moves here: Waitany only claims.
-			reqs = reqs[:0]
-			for k := range ins {
-				reqs = append(reqs, ins[k].req)
-			}
-			rt.reqBuf = reqs
-			if redistHarvestShuffle != nil {
-				redistHarvestShuffle(rt.comm, reqs)
-			} else {
-				for range reqs {
-					rt.comm.Waitany(reqs)
-				}
-			}
-			// Commit deterministically. Pipelined replays the blocking
-			// schedule order with replay-priced Waits — clocks, traces and
-			// checksums stay byte-identical. Overlap commits in arrival
-			// order, trading trace equivalence for lower stall.
-			order := rt.ordBuf[:0]
-			for k := range ins {
-				order = append(order, k)
-			}
-			rt.ordBuf = order
-			if rt.cfg.RedistMode == RedistOverlap {
-				// Insertion sort by (arrival, schedule index): transfer
-				// counts per array are small and the scratch is reused.
-				for i := 1; i < len(order); i++ {
-					for j := i; j > 0 && arrivalLess(ins, order[j], order[j-1]); j-- {
-						order[j], order[j-1] = order[j-1], order[j]
-					}
-				}
-			}
-			for _, k := range order {
-				in := &ins[k]
-				var payload any
-				var st mpi.Status
-				var err error
-				if rt.cfg.RedistMode == RedistOverlap {
-					payload, st, err = rt.comm.WaitErr(in.req)
-				} else {
-					payload, st, err = rt.comm.WaitReplayErr(in.req)
-				}
-				in.req = nil
-				if err != nil {
-					rt.absorbDead(rt.deadOf(err))
-					rt.loseRows(a, in.lo, in.hi)
-					continue
-				}
-				bytesRecv += int64(st.Bytes)
-				rt.commitSlab(a, in.lo, in.hi, payload)
-			}
-		}
+		mv.Rows += rows
+		mv.Bytes += sent
+		bytesSent += sent
+		bytesRecv += recv
 		if rt.sink != nil && (mv.Rows > 0 || mv.Bytes > 0) {
 			moves = append(moves, mv)
 		}
@@ -504,4 +384,94 @@ func (rt *Runtime) applyDistribution(newDist *drsd.Block) {
 		})
 	}
 	rt.refreshReplicas()
+}
+
+// drainNonblocking runs Phase 3 of one array's redistribution over paired
+// messages and reports the rows and bytes it shipped and the bytes it
+// committed: every Irecv is posted up front, the outgoing slabs are Isent,
+// completions are harvested physically with Waitany, and the commit runs
+// in deterministic order — schedule order with replay-priced Waits
+// (RedistPipelined, byte-identical to a serial blocking drain) or arrival
+// order (RedistOverlap).
+func (rt *Runtime) drainNonblocking(a *regArray, rest []drsd.Transfer, outs []redistOut) (rows int, sent, recv int64) {
+	me := rt.comm.Rank()
+	tag := tagRedist + a.index
+	// Post all Irecvs up front (no virtual charge).
+	ins := rt.insBuf[:0]
+	for _, tr := range rest {
+		if tr.To != me {
+			continue
+		}
+		ins = append(ins, redistIn{lo: tr.Lo, hi: tr.Hi, req: rt.comm.Irecv(tr.From, tag)})
+	}
+	rt.insBuf = ins
+	// Isend the outgoing slabs: the same injection charges, in the same
+	// order, as a blocking drain's Sends. Send requests complete at post;
+	// Waitall only recycles them.
+	reqs := rt.reqBuf[:0]
+	for i := range outs {
+		m := &outs[i]
+		if m.dense != nil {
+			reqs = append(reqs, rt.comm.Isend(m.to, tag, m.dense, m.bytes))
+			m.dense = nil
+		} else {
+			reqs = append(reqs, rt.comm.Isend(m.to, tag, m.spars, m.bytes))
+			m.spars = nil
+		}
+		rows += m.rows
+		sent += int64(m.bytes)
+	}
+	rt.comm.Waitall(reqs)
+	// Harvest completions physically, in whatever order they arrive. No
+	// clock moves here: Waitany only claims.
+	reqs = reqs[:0]
+	for k := range ins {
+		reqs = append(reqs, ins[k].req)
+	}
+	rt.reqBuf = reqs
+	if redistHarvestShuffle != nil {
+		redistHarvestShuffle(rt.comm, reqs)
+	} else {
+		for range reqs {
+			rt.comm.Waitany(reqs)
+		}
+	}
+	// Commit deterministically. Pipelined replays the blocking schedule
+	// order with replay-priced Waits — clocks, traces and checksums stay
+	// byte-identical. Overlap commits in arrival order, trading trace
+	// equivalence for lower stall.
+	order := rt.ordBuf[:0]
+	for k := range ins {
+		order = append(order, k)
+	}
+	rt.ordBuf = order
+	if rt.cfg.RedistMode == RedistOverlap {
+		// Insertion sort by (arrival, schedule index): transfer counts per
+		// array are small and the scratch is reused.
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && arrivalLess(ins, order[j], order[j-1]); j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
+	}
+	for _, k := range order {
+		in := &ins[k]
+		var payload any
+		var st mpi.Status
+		var err error
+		if rt.cfg.RedistMode == RedistOverlap {
+			payload, st, err = rt.comm.WaitErr(in.req)
+		} else {
+			payload, st, err = rt.comm.WaitReplayErr(in.req)
+		}
+		in.req = nil
+		if err != nil {
+			rt.absorbDead(rt.deadOf(err))
+			rt.loseRows(a, in.lo, in.hi)
+			continue
+		}
+		recv += int64(st.Bytes)
+		rt.commitSlab(a, in.lo, in.hi, payload)
+	}
+	return rows, sent, recv
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/drsd"
 	"repro/internal/matrix"
 	"repro/internal/mpi"
@@ -10,86 +8,54 @@ import (
 	"repro/internal/vclock"
 )
 
-// One-sided consumers of the mpi window layer.
+// One-sided consumers of the mpi window layer. Every epoch here is a
+// pairwise PSCW epoch (post/start/complete/wait): only the ranks that
+// actually exchange data synchronise, never the whole group.
 //
 // Replica refresh (Config.ReplicaRMA): the paired-send/recv refresh makes
 // every holder stall in a blocking receive for its predecessor's slab. The
 // one-sided refresh defers that settlement a full cycle: at each refresh
 // point a rank first *closes* the epoch opened at the previous refresh —
-// by then an entire cycle of computation has hidden the wire, so the fence
+// by then an entire cycle of computation has hidden the wire, so the wait
 // settles with (near) zero stall — and then opens the next epoch by
-// exposing a staging buffer and Putting its own rows into its successor's
-// window. The committed replica (replica.data) is only overwritten when an
-// epoch settles, so a predecessor that dies mid-cycle without depositing
-// leaves the previous committed state intact, exactly like the paired
-// path's keep-the-stale-replica behaviour.
-//
-// Epoch synchronisation (Config.ReplicaSync):
-//
-// SyncFence (legacy) closes and opens epochs with full-group fences. The
-// fence's dissemination barrier prices as ceil(log2 n) latency rounds paid
-// by every member per refresh — the reason 256-rank makespan ticked up
-// even as holder stall hit zero.
-//
-// SyncPSCW (default) synchronises only the (holder, buddy) pairs with
-// general active-target sync: at each open every rank posts its windows to
-// its ring predecessor (the origin that will Put into it), starts toward
-// its successor, and Puts its slab; at the next close it completes toward
-// the successor and waits on the predecessor, settling that pair's epoch
-// with two 8-byte control messages instead of a butterfly. Ordering rules
-// the pairwise protocol needs:
+// exposing a staging buffer to its ring predecessor and Putting its own
+// rows into its successor's window. The committed replica (replica.data)
+// is only overwritten when an epoch settles, so a predecessor that dies
+// mid-cycle without depositing leaves the previous committed state
+// intact, exactly like the paired path's keep-the-stale-replica
+// behaviour. Each (holder, buddy) pair settles with two 8-byte control
+// messages. Ordering rules the pairwise protocol needs:
 //
 //   - open posts every array's window before starting any: a rank whose
 //     start fails (dead successor) abandons the open, and had it not
-//     already posted, its live predecessor would hang in a start.
+//     already posted, its live predecessor would hang in a start. The post
+//     is also the epoch's write barrier: the predecessor cannot Put until
+//     its start consumes the post, which follows this rank's close-time
+//     promotion of the previous stage in program order.
 //   - close completes every array before waiting on any: completion
 //     notifications must all be out before this rank can abandon in a
-//     failed wait, or a live successor would hang in its wait.
+//     failed wait, or a live successor would hang in its wait. Promotion
+//     of the settled stage to the committed replica is host-only
+//     bookkeeping: the modelled deposit already landed by one-sided DMA, so
+//     no virtual charge is made (the paired path's receive CPU and commit
+//     touches are precisely the cost this mode saves).
 //   - failure observation is pairwise-local (only the dead rank's ring
 //     neighbours see an error mid-refresh), which is exactly the runtime's
 //     asymmetric-detection contract: the next cycle boundary's collective
-//     fails for everyone and recovery converges there (failure.go).
-//
-// SyncAdaptive runs the same PSCW handshake every refresh but lets each
-// holder pick, per refresh, between the deferred one-sided Put (wire
-// hidden behind the next cycle of computation, one-cycle staleness) and an
-// immediate paired send/recv (fresher replica, paid stall) — chosen from
-// its measured cycle span against the wire time of its incoming slab. The
-// verdict rides in-band as the post notification's note, so both ends of
-// the pair agree without a global agreement step (a per-refresh allreduce
-// would cost the very butterfly PSCW removes). Clocks differ per rank
-// under competing-process load, so the verdict is per-pair by
-// construction, not per-group.
-//
-// Epoch/visibility discipline (fence mode; PSCW replaces each fence with
-// its pairwise counterpart):
-//
-//   - open: attach stage, fence, Put. The opening fence is the write
-//     barrier that orders every origin's next-epoch Put after every
-//     owner's close-time promotion of the previous stage — without it the
-//     promotion copy would race a fast predecessor's next Put. Under PSCW
-//     the owner's post is that barrier: the predecessor cannot Put until
-//     its start consumes this rank's post, which follows the promotion in
-//     program order.
-//   - close: fence (settles this rank's deposits), then promote stage to
-//     the committed replica. Promotion is host-only bookkeeping: the
-//     modelled deposit already landed by one-sided DMA, so no virtual
-//     charge is made (the paired path's receive CPU and commit touches are
-//     precisely the cost this mode saves).
-//   - failure: the fence returns *mpi.RankFailedError and settles nothing.
-//     Only a *dead* predecessor's deposit may be adopted (its goroutine is
-//     gone, so the stage cannot be concurrently written): PendingFrom —
-//     PendingPSCW under pairwise sync — answers deterministically whether
-//     its Put landed in full — a crash fires at operation entry, so a Put
-//     either ran to completion or never started. A live predecessor's
-//     deposit is abandoned (the replica keeps its previous commit), and
-//     the windows are discarded and rebuilt on the post-recovery group.
+//     fails for everyone and recovery converges there (failure.go). A
+//     failed wait settles nothing; only a *dead* predecessor's deposit may
+//     be adopted (its goroutine is gone, so the stage cannot be
+//     concurrently written), and PendingPSCW answers deterministically
+//     whether its Put landed in full — a crash fires at operation entry,
+//     so a Put either ran to completion or never started. A live
+//     predecessor's deposit is abandoned (the replica keeps its previous
+//     commit), and the windows are discarded and rebuilt on the
+//     post-recovery group.
 //
 // Redistribution (Config.RedistMode == RedistRMA): see rmaRedistArray. A
 // grow or rejoin redistribution additionally routes transfers bound for
-// resized-in ranks through Get under PSCW — the joiner pulls its slabs
-// from the owners instead of the owners pushing them — see
-// rmaFetchArray.
+// resized-in ranks through Get — the joiner pulls its slabs from the
+// owners instead of the owners pushing them — see rmaFetchArray.
 
 // repRange is the row range an open replica epoch will commit.
 type repRange struct {
@@ -97,7 +63,7 @@ type repRange struct {
 }
 
 // ReplicaStall reports the cumulative receive-side stall this rank's
-// replica refreshes have cost it (paired receives, or fence settlements
+// replica refreshes have cost it (paired receives, or epoch settlements
 // under ReplicaRMA). The RMA-vs-p2p study and the refresh benchmarks
 // compare it across modes.
 func (rt *Runtime) ReplicaStall() vclock.Duration { return rt.replicaStall }
@@ -116,18 +82,8 @@ func (rt *Runtime) Finish() {
 // accounting the receive-side stall it cost.
 func (rt *Runtime) refreshReplicasNow() {
 	if rt.cfg.ReplicaRMA {
-		// The adaptive verdict compares the computation window between
-		// refresh points against the slab wire time, so the span must be
-		// measured from the END of the previous refresh to the ENTRY of
-		// this one — including the close's settle stall in the span would
-		// inflate it by exactly the stall the verdict is trying to avoid,
-		// and the verdict could never flip to paired sends.
-		rt.repSpan = rt.node.Now().Sub(rt.repMark)
-		rt.repSpanOK = rt.repMarked
 		rt.closeReplicaEpoch()
 		rt.openReplicaEpoch()
-		rt.repMark = rt.node.Now()
-		rt.repMarked = true
 		return
 	}
 	stall0 := rt.comm.RecvStall
@@ -135,43 +91,10 @@ func (rt *Runtime) refreshReplicasNow() {
 	rt.replicaStall += rt.comm.RecvStall - stall0
 }
 
-// Adaptive-mode verdicts, carried in-band as the post notification's note:
-// the holder of the incoming slab decides how its predecessor should ship
-// this epoch and the predecessor obeys the note its start returns.
-const (
-	notePut  int64 = 0 // deferred one-sided Put, settled at the next close
-	noteSend int64 = 1 // immediate paired send, committed inside the open
-)
-
-// replicaWire prices the wire time of one replica refresh of `rows` rows
-// across every dense array — the threshold the adaptive verdict compares
-// the measured cycle span against: a span shorter than this cannot hide
-// the deferred Put, so the holder asks for an immediate paired slab.
-func (rt *Runtime) replicaWire(rows int) vclock.Duration {
-	net := rt.comm.World().Cluster().Net()
-	var d vclock.Duration
-	for _, name := range rt.order {
-		a := rt.arrays[name]
-		if a.dense == nil {
-			continue
-		}
-		bytes := float64(rows) * float64(a.dense.RowBytes())
-		d += net.Latency + vclock.FromSeconds(bytes/net.BytesPerSec)
-	}
-	return d
-}
-
-// AdaptiveRefreshModes reports how many adaptive refreshes chose the
-// deferred Put and how many the immediate paired send. Zero outside
-// SyncAdaptive.
-func (rt *Runtime) AdaptiveRefreshModes() (put, send int) {
-	return rt.adaptPut, rt.adaptSend
-}
-
-// openReplicaEpoch exposes this rank's staging buffers and Puts its owned
-// rows into its ring successor's windows, leaving the epoch open for the
-// next refresh point to close. Every rank of the current distribution
-// calls it collectively.
+// openReplicaEpoch exposes this rank's staging buffers to its ring
+// predecessor and Puts its owned rows into its ring successor's windows,
+// leaving the epoch open for the next refresh point to close. Every rank
+// of the current distribution calls it collectively.
 func (rt *Runtime) openReplicaEpoch() {
 	if !rt.cfg.Replicate || rt.isOut {
 		return
@@ -220,59 +143,8 @@ func (rt *Runtime) openReplicaEpoch() {
 	plo, phi := rt.dist.RangeOf(rt.repPrev)
 	lo, hi := rt.dist.RangeOf(me)
 
-	if rt.cfg.ReplicaSync == SyncFence {
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			win := rt.repWins[name]
-			rt.stageReplica(a, phi-plo)
-			rt.comm.WinAttach(win, mpi.FlatMem(rt.replicas[name].stage))
-			// The opening fence publishes the attach and orders this epoch's
-			// remote Puts after every member's close of the previous one.
-			if err := rt.comm.FenceErr(win); err != nil {
-				// A member died before the epoch could open. Leave it closed;
-				// recovery at the next cycle boundary rebuilds the windows.
-				rt.absorbDead(rt.deadOf(err))
-				rt.repRanks = rt.repRanks[:0]
-				return
-			}
-			rt.repPend[name] = repRange{lo: plo, hi: phi}
-			if hi > lo {
-				// Origin-side injection: the same packing touches and Put CPU a
-				// paired sender pays — the saving is entirely holder-side.
-				slab := getDenseSlab(hi-lo, a.dense.RowLen)
-				a.dense.CopyRowsTo(slab.data, lo, hi)
-				for g := lo; g < hi; g++ {
-					rt.node.ChargeTouch(a.dense.RowBytes())
-				}
-				rt.comm.Put(win, rt.repNext, 0, slab.data)
-				putDenseSlab(slab)
-			}
-		}
-		rt.repOpen = true
-		return
-	}
-
-	// Pairwise open. The adaptive verdict is computed first — it rides on
-	// every post notification this rank sends its predecessor.
-	note := notePut
-	if rt.cfg.ReplicaSync == SyncAdaptive {
-		if rt.repSpanOK && rt.repSpan < rt.replicaWire(phi-plo) {
-			note = noteSend
-		}
-		if note == noteSend {
-			rt.adaptSend++
-		} else {
-			rt.adaptPut++
-		}
-	}
-
 	// Loop 1: attach and post every array's window toward the predecessor
-	// before starting any — a rank that abandons in loop 2 (dead successor)
-	// must already have posted everything its live predecessor will start
-	// toward, or that predecessor would hang (see the file comment).
+	// before starting any (see the file comment).
 	for _, name := range rt.order {
 		a := rt.arrays[name]
 		if a.dense == nil {
@@ -281,22 +153,17 @@ func (rt *Runtime) openReplicaEpoch() {
 		win := rt.repWins[name]
 		rt.stageReplica(a, phi-plo)
 		rt.comm.WinAttach(win, mpi.FlatMem(rt.replicas[name].stage))
-		// The post is this epoch's write barrier: the predecessor cannot Put
-		// until its start consumes it, and it follows this rank's close-time
-		// promotion of the previous stage in program order.
-		rt.comm.WinPost(win, []int{rt.repPrev}, note)
+		rt.comm.WinPost(win, []int{rt.repPrev})
 	}
 
-	// Loop 2: start toward the successor and ship this rank's slab the way
-	// the successor's note asks for.
-	var peerNote [1]int64
+	// Loop 2: start toward the successor and Put this rank's slab.
 	for _, name := range rt.order {
 		a := rt.arrays[name]
 		if a.dense == nil {
 			continue
 		}
 		win := rt.repWins[name]
-		if err := rt.comm.WinStartErr(win, []int{rt.repNext}, peerNote[:]); err != nil {
+		if err := rt.comm.WinStartErr(win, []int{rt.repNext}); err != nil {
 			// The successor died before posting. Abandon the open — the
 			// epoch never opens (repOpen stays false), and the exposures
 			// already posted settle nothing: the next open observes the
@@ -310,63 +177,16 @@ func (rt *Runtime) openReplicaEpoch() {
 			return
 		}
 		rt.repPend[name] = repRange{lo: plo, hi: phi}
-		rows := hi - lo
-		if peerNote[0] == noteSend {
-			// The successor's cycles are too short to hide the wire: ship an
-			// immediate paired slab (refreshReplicas wire form); it receives
-			// and commits before leaving its own open.
-			slab := getDenseSlab(rows, a.dense.RowLen)
-			a.dense.CopyRowsTo(slab.data, lo, hi)
-			for g := lo; g < hi; g++ {
-				rt.node.ChargeTouch(a.dense.RowBytes())
-			}
-			rt.comm.Send(rt.repNext, tagAdaptive+a.index,
-				replicaSlab{lo: lo, hi: hi, data: slab}, 16+rows*int(a.dense.RowBytes()))
-		} else if rows > 0 {
-			slab := getDenseSlab(rows, a.dense.RowLen)
+		if hi > lo {
+			// Origin-side injection: the same packing touches and Put CPU a
+			// paired sender pays — the saving is entirely holder-side.
+			slab := getDenseSlab(hi-lo, a.dense.RowLen)
 			a.dense.CopyRowsTo(slab.data, lo, hi)
 			for g := lo; g < hi; g++ {
 				rt.node.ChargeTouch(a.dense.RowBytes())
 			}
 			rt.comm.Put(win, rt.repNext, 0, slab.data)
 			putDenseSlab(slab)
-		}
-	}
-
-	rt.repDirect = note == noteSend
-	if rt.repDirect {
-		// This rank asked its predecessor for immediate paired slabs:
-		// receive and commit them now, exactly as the paired refresh would
-		// (receive CPU plus commit touches) — the freshness this verdict
-		// buys is paid for with the stall the Put path hides.
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			p, _, err := rt.comm.RecvErr(rt.repPrev, tagAdaptive+a.index)
-			if err != nil {
-				// Keep the stale replica; recovery handles the death.
-				rt.absorbDead(rt.deadOf(err))
-				continue
-			}
-			rs, ok := p.(replicaSlab)
-			if !ok {
-				panic(fmt.Sprintf("core: bad adaptive replica payload for %q", name))
-			}
-			rep := rt.replicas[name]
-			n := (rs.hi - rs.lo) * a.dense.RowLen
-			if cap(rep.data) < n {
-				rep.data = make([]float64, n)
-			} else {
-				rep.data = rep.data[:n]
-			}
-			copy(rep.data, rs.data.data[:n])
-			rep.lo, rep.hi = rs.lo, rs.hi
-			for g := rs.lo; g < rs.hi; g++ {
-				rt.node.ChargeTouch(a.dense.RowBytes())
-			}
-			putDenseSlab(rs.data)
 		}
 	}
 	rt.repOpen = true
@@ -390,7 +210,7 @@ func (rt *Runtime) stageReplica(a *regArray, rows int) {
 
 // closeReplicaEpoch settles the replica epoch left open by the last
 // refresh point, promoting each staged deposit to the committed replica.
-// No-op when no epoch is open. On a failed fence it runs the adoption
+// No-op when no epoch is open. On a failed wait it runs the adoption
 // protocol documented at the top of the file.
 func (rt *Runtime) closeReplicaEpoch() {
 	if !rt.repOpen {
@@ -399,82 +219,46 @@ func (rt *Runtime) closeReplicaEpoch() {
 	rt.repOpen = false
 	stall0 := rt.comm.RecvStall
 	failed := false
-	if rt.cfg.ReplicaSync == SyncFence {
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			win := rt.repWins[name]
-			rep := rt.replicas[name]
-			pend := rt.repPend[name]
-			if err := rt.comm.FenceErr(win); err != nil {
-				failed = true
-				rt.absorbDead(rt.deadOf(err))
-				adopt := false
-				if !rt.comm.World().Alive(rt.repPrev) {
-					want := (pend.hi - pend.lo) * a.dense.RowLen
-					elems, ok := rt.comm.PendingFrom(win, rt.repPrev)
-					adopt = want == 0 || (ok && elems == want)
-				}
-				rt.comm.DiscardPending(win)
-				if adopt {
-					rt.promoteReplica(a, rep, pend)
-				}
-				continue
-			}
-			rt.promoteReplica(a, rep, pend)
+	// Loop 1: complete toward the successor for every array before waiting
+	// on any (see the file comment).
+	for _, name := range rt.order {
+		a := rt.arrays[name]
+		if a.dense == nil {
+			continue
 		}
-	} else {
-		// Pairwise close. Loop 1: complete toward the successor for every
-		// array before waiting on any — all completion notifications must be
-		// out before this rank can block (or abandon) in a wait, or a live
-		// successor would hang in its own wait (see the file comment).
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
-			}
-			if err := rt.comm.WinCompleteErr(rt.repWins[name]); err != nil {
-				// The successor died: this rank's deposits are gone with it.
-				// Nothing to settle on this side; the wait loop still runs.
-				failed = true
-				rt.absorbDead(rt.deadOf(err))
-			}
+		if err := rt.comm.WinCompleteErr(rt.repWins[name]); err != nil {
+			// The successor died: this rank's deposits are gone with it.
+			// Nothing to settle on this side; the wait loop still runs.
+			failed = true
+			rt.absorbDead(rt.deadOf(err))
 		}
-		// Loop 2: wait on the predecessor's completion, settling the pair's
-		// epoch, and promote the staged deposit.
-		for _, name := range rt.order {
-			a := rt.arrays[name]
-			if a.dense == nil {
-				continue
+	}
+	// Loop 2: wait on the predecessor's completion, settling the pair's
+	// epoch, and promote the staged deposit.
+	for _, name := range rt.order {
+		a := rt.arrays[name]
+		if a.dense == nil {
+			continue
+		}
+		win := rt.repWins[name]
+		rep := rt.replicas[name]
+		pend := rt.repPend[name]
+		if err := rt.comm.WinWaitErr(win); err != nil {
+			failed = true
+			rt.absorbDead(rt.deadOf(err))
+			adopt := false
+			if !rt.comm.World().Alive(rt.repPrev) {
+				want := (pend.hi - pend.lo) * a.dense.RowLen
+				elems, ok := rt.comm.PendingPSCW(win, rt.repPrev)
+				adopt = want == 0 || (ok && elems == want)
 			}
-			win := rt.repWins[name]
-			rep := rt.replicas[name]
-			pend := rt.repPend[name]
-			if err := rt.comm.WinWaitErr(win); err != nil {
-				failed = true
-				rt.absorbDead(rt.deadOf(err))
-				// Same adoption protocol as the failed fence, with the
-				// pairwise pending probe; an adaptive epoch whose slabs
-				// arrived paired has already committed (repDirect) and has
-				// nothing staged to adopt.
-				adopt := false
-				if !rt.comm.World().Alive(rt.repPrev) && !rt.repDirect {
-					want := (pend.hi - pend.lo) * a.dense.RowLen
-					elems, ok := rt.comm.PendingPSCW(win, rt.repPrev)
-					adopt = want == 0 || (ok && elems == want)
-				}
-				rt.comm.DiscardPending(win)
-				if adopt {
-					rt.promoteReplica(a, rep, pend)
-				}
-				continue
-			}
-			if !rt.repDirect {
+			rt.comm.DiscardPending(win)
+			if adopt {
 				rt.promoteReplica(a, rep, pend)
 			}
+			continue
 		}
+		rt.promoteReplica(a, rep, pend)
 	}
 	if failed {
 		// Abandon the windows: the group lost a member, so no further epoch
@@ -561,117 +345,111 @@ func (rt *Runtime) redistWinFor(a *regArray) *mpi.Win {
 }
 
 // rmaRedistArray runs Phase 3 of one dense array's redistribution through
-// a one-sided window: the receiver exposes its freshly resized resident
-// window (Phase 2 has run), an opening fence publishes the attachments,
-// senders Put their packed slabs directly at destination offsets both
-// sides compute from the schedule, and the closing fence settles the
-// deposits — there is no harvest loop and no commit loop, and the receiver
-// pays neither per-message CPU nor commit touches.
+// a one-sided window and reports the rows and bytes it shipped and the
+// bytes it committed. Only the schedule's real (sender, receiver) pairs
+// synchronise: the receiver exposes its freshly resized resident window
+// (Phase 2 has run) with one post to all its senders and one wait; each
+// sender runs one start/Put/complete epoch per receiver, in schedule
+// order, Putting its packed slabs directly at destination offsets both
+// sides compute from the schedule. There is no harvest loop and no commit
+// loop, and the receiver pays neither per-message CPU nor commit touches.
 //
-// Returns (committed, down): committed reports whether the array's
-// exchange was fully handled here; down reports that a fence failed and
-// the remaining arrays must fall back to the blocking drain. An opening
-// -fence failure returns (false, true) with outs untouched — the caller
-// re-runs the array through the blocking path. A closing-fence failure is
-// handled in full: a marker exchange restores the ordering the fence
-// would have provided, live senders' rows are kept, and a dead sender's
-// rows are kept only when PendingFrom proves its Puts landed completely.
-func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *drsd.Block, outs []redistOut, mv *telemetry.ArrayMove, sent, recv *int64) (bool, bool) {
+// One epoch per receiver, not one combined epoch: a multi-target start
+// fails as a whole, so a combined epoch toward a dead receiver would never
+// complete toward the live ones, leaving them hanging in their waits. A
+// dead receiver's rows die with it. On a failed wait every live sender's
+// completion has still arrived, so its Puts have landed and are kept; a
+// dead sender's rows are kept only when PendingPSCW proves its Puts landed
+// in full (a crash fires at operation entry, so presence is
+// deterministic), and are lost otherwise — conservatively, every transfer
+// from that sender. The schedule never pairs a rank with itself.
+func (rt *Runtime) rmaRedistArray(a *regArray, sched []drsd.Transfer, newDist *drsd.Block, outs []redistOut) (rows int, sent, recv int64) {
 	me := rt.comm.Rank()
 	win := rt.redistWinFor(a)
+	rl := a.dense.RowLen
 	nlo, nhi := newDist.RangeOf(me)
 	wlo, _ := drsd.Window(a.accesses, nlo, nhi, rt.n)
 	rt.comm.WinAttach(win, denseWinMem{d: a.dense, wlo: wlo})
-	if err := rt.comm.FenceErr(win); err != nil {
-		rt.absorbDead(rt.deadOf(err))
-		rt.redistGroup = nil
-		return false, true
-	}
-	for i := range outs {
-		m := &outs[i]
-		tlo, thi := newDist.RangeOf(m.to)
-		twlo, _ := drsd.Window(a.accesses, tlo, thi, rt.n)
-		rt.comm.Put(win, m.to, (m.lo-twlo)*a.dense.RowLen, m.dense.data)
-		putDenseSlab(m.dense)
-		m.dense = nil
-		mv.Rows += m.rows
-		mv.Bytes += int64(m.bytes)
-		*sent += int64(m.bytes)
-	}
-	err := rt.comm.FenceErr(win)
-	if err == nil {
-		for _, tr := range sched {
-			if tr.To == me {
-				*recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
-			}
+	senders := rt.peerBuf[:0]
+	for _, tr := range sched {
+		if tr.To == me && !containsInt(senders, tr.From) {
+			senders = append(senders, tr.From)
 		}
-		return true, false
 	}
-	rt.absorbDead(rt.deadOf(err))
+	rt.peerBuf = senders
+	if len(senders) > 0 {
+		rt.comm.WinPost(win, senders)
+	}
 
-	// Marker exchange: a live sender's marker follows its Puts in program
-	// order, so receiving it restores the happens-before edge the failed
-	// fence could not provide before this rank touches the landed rows.
-	tag := tagRedistSync + a.index
-	sentTo := map[int]bool{}
-	for _, tr := range sched {
-		if tr.From == me && tr.To != me && !sentTo[tr.To] && rt.comm.World().Alive(tr.To) {
-			rt.comm.Send(tr.To, tag, nil, 0)
-			sentTo[tr.To] = true
+	for i := range outs {
+		to := outs[i].to
+		if outs[i].dense == nil {
+			continue // shipped with an earlier transfer's epoch toward to
 		}
-	}
-	synced := map[int]bool{}  // origin -> marker exchange completed
-	decided := map[int]bool{} // origin -> verdict cached in kept
-	kept := map[int]bool{}
-	for _, tr := range sched {
-		if tr.To != me || tr.From == me {
+		err := rt.comm.WinStartErr(win, []int{to})
+		if err != nil {
+			rt.absorbDead(rt.deadOf(err))
+		}
+		tlo, thi := newDist.RangeOf(to)
+		twlo, _ := drsd.Window(a.accesses, tlo, thi, rt.n)
+		for j := i; j < len(outs); j++ {
+			m := &outs[j]
+			if m.to != to {
+				continue
+			}
+			if err == nil {
+				rt.comm.Put(win, to, (m.lo-twlo)*rl, m.dense.data)
+				rows += m.rows
+				sent += int64(m.bytes)
+			}
+			putDenseSlab(m.dense)
+			m.dense = nil
+		}
+		if err != nil {
 			continue
 		}
-		if _, seen := synced[tr.From]; !seen {
-			_, _, rerr := rt.comm.RecvErr(tr.From, tag)
-			if rerr != nil {
-				rt.absorbDead(rt.deadOf(rerr))
-			}
-			synced[tr.From] = rerr == nil
+		if err := rt.comm.WinCompleteErr(win); err != nil {
+			rt.absorbDead(rt.deadOf(err))
 		}
+	}
+	if len(senders) == 0 {
+		return rows, sent, recv
+	}
+
+	var dead []int
+	if err := rt.comm.WinWaitErr(win); err != nil {
+		dead = rt.deadOf(err)
+		rt.absorbDead(dead)
 	}
 	for _, tr := range sched {
 		if tr.To != me {
 			continue
 		}
-		if tr.From == me {
-			// This rank's own Put ran to completion by definition.
-			*recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
+		if containsInt(dead, tr.From) && !rt.landedInFull(win, a, sched, tr.From) {
+			rt.loseRows(a, tr.Lo, tr.Hi)
 			continue
 		}
-		keep := synced[tr.From]
-		if !keep {
-			// The origin is dead. Its Puts either all landed before the
-			// crash or the tail never ran (a crash fires at operation
-			// entry); PendingFrom decides deterministically, and a partial
-			// landing conservatively loses every transfer from that origin.
-			if !decided[tr.From] {
-				want := 0
-				for _, t2 := range sched {
-					if t2.To == me && t2.From == tr.From {
-						want += (t2.Hi - t2.Lo) * a.dense.RowLen
-					}
-				}
-				elems, ok := rt.comm.PendingFrom(win, tr.From)
-				kept[tr.From] = ok && elems == want
-				decided[tr.From] = true
-			}
-			keep = kept[tr.From]
-		}
-		if keep {
-			*recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
-		} else {
-			rt.loseRows(a, tr.Lo, tr.Hi)
+		recv += int64(tr.Hi-tr.Lo) * a.dense.RowBytes()
+	}
+	if dead != nil {
+		rt.comm.DiscardPending(win)
+	}
+	return rows, sent, recv
+}
+
+// landedInFull reports whether every row the schedule routes from origin
+// to this rank is pending in win — the adoption test for a sender that
+// died mid-commit.
+func (rt *Runtime) landedInFull(win *mpi.Win, a *regArray, sched []drsd.Transfer, origin int) bool {
+	me := rt.comm.Rank()
+	want := 0
+	for _, tr := range sched {
+		if tr.To == me && tr.From == origin {
+			want += (tr.Hi - tr.Lo) * a.dense.RowLen
 		}
 	}
-	rt.comm.DiscardPending(win)
-	rt.redistGroup = nil
-	return true, true
+	elems, ok := rt.comm.PendingPSCW(win, origin)
+	return ok && elems == want
 }
 
 // fetchWinFor returns the one-sided window joiner fetch uses for array a,
@@ -737,7 +515,7 @@ func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newDist *dr
 			mv.Bytes += int64(m.bytes)
 			*sent += int64(m.bytes)
 		}
-		rt.comm.WinPost(fwin, fetchers, 0)
+		rt.comm.WinPost(fwin, fetchers)
 		if err := rt.comm.WinWaitErr(fwin); err != nil {
 			// A joiner died mid-pull; its pairwise epoch can never settle.
 			// Its rows die with it either way — drop the handshake state.
@@ -766,8 +544,7 @@ func (rt *Runtime) rmaFetchArray(a *regArray, sched []drsd.Transfer, newDist *dr
 		}
 		s := tr.From
 		started[s] = true
-		var note [1]int64
-		if err := rt.comm.WinStartErr(fwin, []int{s}, note[:]); err != nil {
+		if err := rt.comm.WinStartErr(fwin, []int{s}); err != nil {
 			// The source died before posting: its rows cannot be pulled.
 			// Pairwise isolation — only this source's transfers are lost.
 			rt.absorbDead(rt.deadOf(err))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -23,9 +24,9 @@ type rmaResult struct {
 	final     vclock.Time
 	stall     vclock.Duration
 	lost      int
+	lostRows  []LostRange
 	recovered int
-	adaptPut  int
-	adaptSend int
+	vals      map[int]float64 // owned row -> its value (-1 when the row's elements disagree)
 }
 
 // runRMAMini is runMini with the hooks the one-sided suites need: it
@@ -69,8 +70,8 @@ func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles i
 			stall:     rt.ReplicaStall(),
 			recovered: rt.RecoveredRows(),
 		}
-		res.adaptPut, res.adaptSend = rt.AdaptiveRefreshModes()
-		for _, lr := range rt.LostRows() {
+		res.lostRows = rt.LostRows()
+		for _, lr := range res.lostRows {
 			res.lost += lr.Hi - lr.Lo
 		}
 		if rt.Participating() {
@@ -78,10 +79,16 @@ func runRMAMini(t *testing.T, spec cluster.Spec, cfg Config, n, rowLen, cycles i
 			lo, hi := ph.Bounds()
 			res.ownedOK = true
 			res.ownedCnt = hi - lo
+			res.vals = make(map[int]float64, hi-lo)
 			for g := lo; g < hi; g++ {
+				row := x.Row(g)
+				res.vals[g] = row[0]
 				for j := 0; j < rowLen; j++ {
-					if x.Row(g)[j] != float64(g*10+cycles) {
+					if row[j] != float64(g*10+cycles) {
 						res.ownedOK = false
+					}
+					if row[j] != row[0] {
+						res.vals[g] = -1
 					}
 				}
 			}
@@ -132,7 +139,7 @@ func replicaRMACfg() Config {
 // uninterrupted run produces. The deferred epoch makes the adoption path
 // load-bearing here: at the crash the *committed* replica is one refresh
 // stale, and only adopting the dead predecessor's still-pending deposit
-// (proved complete by PendingFrom) restores the same end-of-previous-cycle
+// (proved complete by PendingPSCW) restores the same end-of-previous-cycle
 // snapshot the paired path ships eagerly.
 func TestReplicaRMACrashRecoveryBitExact(t *testing.T) {
 	spec := cluster.Uniform(3)
@@ -161,7 +168,7 @@ func TestReplicaRMACrashRecoveryBitExact(t *testing.T) {
 // one-sided refresh: every combination must recover without losing rows,
 // finish with exact values, and settle or discard every deposit (zero
 // leaks at teardown). Run under -race this doubles as the concurrency
-// suite for the fence/adoption protocol.
+// suite for the pairwise-epoch adoption protocol.
 func TestReplicaRMACrashMatrix(t *testing.T) {
 	for _, victim := range []int{1, 2} {
 		for _, cycle := range []int{1, 6, 13} {
@@ -195,7 +202,7 @@ func TestReplicaRMAFaultFreeLeakFree(t *testing.T) {
 	}
 }
 
-// TestReplicaRMACrashDeterminism: the fence-failure adoption protocol must
+// TestReplicaRMACrashDeterminism: the failed-wait adoption protocol must
 // make recovery independent of physical scheduling — two runs of the same
 // crash scenario produce identical finish times and event streams.
 func TestReplicaRMACrashDeterminism(t *testing.T) {
@@ -258,7 +265,7 @@ func redistRMACfg() Config {
 }
 
 // TestRedistRMAEquivalence: the direct-slab commit must move the same rows
-// to the same owners with the same values as the blocking drain — only the
+// to the same owners with the same values as the pipelined drain — only the
 // virtual cost may differ. Both runs end with every row at its exact
 // fault-free value and identical distributions.
 func TestRedistRMAEquivalence(t *testing.T) {
@@ -283,7 +290,7 @@ func TestRedistRMAEquivalence(t *testing.T) {
 	}
 	for r, res := range rmaRes {
 		if res.redists != refRes[r].redists {
-			t.Errorf("rank %d: %d redistributions via RMA vs %d blocking", r, res.redists, refRes[r].redists)
+			t.Errorf("rank %d: %d redistributions via RMA vs %d pipelined", r, res.redists, refRes[r].redists)
 		}
 		for i := range res.counts {
 			if res.counts[i] != refRes[r].counts[i] {
@@ -325,4 +332,127 @@ func TestRedistRMAWithCrash(t *testing.T) {
 	if leaked != 0 {
 		t.Fatalf("%d deposits leaked", leaked)
 	}
+}
+
+// TestRedistRMACrashMidCommit places a timed crash inside a one-sided
+// redistribution commit, once on a rank that only sends and once on a
+// rank that only receives. A fault-free probe locates the victim's first
+// redistribution, and the crash lands at the start of that window, a
+// quarter of the way in and halfway through — before any epoch, between
+// per-receiver epochs, and after the last one. Every survivor must return
+// (the pairwise epochs and the recovery converge, never hang), the
+// survivors must jointly own every row, no deposit may leak, and two runs
+// must agree exactly.
+//
+// Values: every row the victim neither sent nor received in the torn
+// redistribution ends exact. Rows the crash kept from landing are
+// reported lost, and the victim's own rows come back from its buddy's
+// replica one cycle behind — the replica predates the crash cycle, whose
+// computation the victim never ran. Reconstructing in-flight rows and
+// recovering before the crash cycle's computation are open work (see
+// ROADMAP.md).
+func TestRedistRMACrashMidCommit(t *testing.T) {
+	const n, rowLen, cycles = 64, 4, 25
+	scenario := func() cluster.Spec { return cpAtCycle(cluster.Uniform(4), 1, 3) }
+	probe, _ := runRMAMini(t, scenario(), redistRMACfg(), n, rowLen, cycles)
+	firstRedist := func(r int) (start vclock.Time, end Event) {
+		for _, ev := range probe[r].events {
+			switch {
+			case ev.Kind == EvRedistStart && start == 0:
+				start = ev.Time
+			case ev.Kind == EvRedistEnd && end.Kind == 0:
+				end = ev
+			}
+		}
+		if start == 0 || end.Time <= start {
+			t.Fatalf("probe found no redistribution window on rank %d", r)
+		}
+		return start, end
+	}
+	for _, tc := range []struct {
+		role   string
+		victim int
+	}{{"sender", 1}, {"receiver", 3}} {
+		start, end := firstRedist(tc.victim)
+		if sender := end.BytesSent > 0 && end.BytesRecv == 0; tc.role == "sender" && !sender {
+			t.Fatalf("rank %d is not a pure sender in the probe: %+v", tc.victim, end)
+		}
+		if receiver := end.BytesRecv > 0 && end.BytesSent == 0; tc.role == "receiver" && !receiver {
+			t.Fatalf("rank %d is not a pure receiver in the probe: %+v", tc.victim, end)
+		}
+		// The victim's range before and after the torn redistribution.
+		vlo, vhi := drsd.NewBlock([]int{0, 1, 2, 3}, end.Counts).RangeOf(tc.victim)
+		olo, ohi := drsd.EqualBlock([]int{0, 1, 2, 3}, n).RangeOf(tc.victim)
+		for quarter := 0; quarter < 3; quarter++ {
+			at := start.Add(vclock.Duration(end.Time-start) * vclock.Duration(quarter) / 4)
+			run := func() (map[int]*rmaResult, int) {
+				spec := scenario()
+				spec.Faults = []fault.Fault{fault.CrashAt(tc.victim, at)}
+				return runRMAMini(t, spec, redistRMACfg(), n, rowLen, cycles)
+			}
+			label := fmt.Sprintf("%s victim %d at %d/4", tc.role, tc.victim, quarter)
+			a, leaked := run()
+			if len(a) != 3 {
+				t.Fatalf("%s: %d ranks reported, want the 3 survivors", label, len(a))
+			}
+			if leaked != 0 {
+				t.Errorf("%s: %d deposits leaked", label, leaked)
+			}
+			covered, lost := 0, 0
+			for r, res := range a {
+				covered += res.ownedCnt
+				lost += res.lost
+				for g, v := range res.vals {
+					want := float64(g*10 + cycles)
+					recovered := g >= vlo && g < vhi
+					touched := recovered || g >= olo && g < ohi
+					switch {
+					case v == want:
+					case touched && lostAnywhere(a, g):
+					case recovered && v == want-1:
+					default:
+						t.Errorf("%s: rank %d row %d = %v, want %v", label, r, g, v, want)
+					}
+				}
+			}
+			if covered != n {
+				t.Errorf("%s: survivors own %d of %d rows", label, covered, n)
+			}
+			if quarter == 0 && lost == 0 {
+				t.Errorf("%s: no row was lost in flight; the crash missed the commit", label)
+			}
+			b, _ := run()
+			for r, ra := range a {
+				rb := b[r]
+				if rb == nil || ra.final != rb.final || ra.lost != rb.lost || ra.recovered != rb.recovered ||
+					len(ra.events) != len(rb.events) || !equalVals(ra.vals, rb.vals) {
+					t.Errorf("%s: rank %d differs across identical runs", label, r)
+				}
+			}
+		}
+	}
+}
+
+// lostAnywhere reports whether any survivor reported row g lost.
+func lostAnywhere(results map[int]*rmaResult, g int) bool {
+	for _, res := range results {
+		for _, lr := range res.lostRows {
+			if g >= lr.Lo && g < lr.Hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func equalVals(a, b map[int]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for g, v := range a {
+		if w, ok := b[g]; !ok || w != v {
+			return false
+		}
+	}
+	return true
 }

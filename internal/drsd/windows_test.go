@@ -1,6 +1,7 @@
 package drsd
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -289,4 +290,34 @@ func TestScheduleWindowsMismatchedRowsPanics(t *testing.T) {
 		}
 	}()
 	ScheduleWindows(EqualBlock([]int{0}, 4), EqualBlock([]int{0}, 5), stencil)
+}
+
+// TestScheduleNeverPairsRankWithItself pins the invariant the one-sided
+// redistribution commit relies on (its pairwise epochs cannot target the
+// calling rank): neither schedule ever emits a transfer with From == To —
+// a rank never ships rows to itself, whatever the membership change or
+// ghost width.
+func TestScheduleNeverPairsRankWithItself(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	accessSets := [][]Access{
+		stencil,
+		ownedOnly,
+		{{Array: "A", Step: 1, Off: -3}, {Array: "A", Step: 1, Off: 0}, {Array: "A", Step: 1, Off: 5}},
+	}
+	check := func(trial int, kind string, sched []Transfer) {
+		for _, tr := range sched {
+			if tr.From == tr.To {
+				t.Fatalf("trial %d: %s schedule pairs rank %d with itself: %+v", trial, kind, tr.From, tr)
+			}
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(200)
+		oldD := randBlock(rng, randMembership(rng, 8), n)
+		newD := randBlock(rng, randMembership(rng, 8), n)
+		check(trial, "diff", ScheduleDiffInto(nil, oldD, newD))
+		for _, acc := range accessSets {
+			check(trial, "windows", ScheduleWindowsInto(nil, oldD, newD, acc))
+		}
+	}
 }

@@ -1,11 +1,25 @@
 package exp
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
-// TestRMAStallReduction pins the PR's headline refresh claim: at the
-// acceptance world sizes the deferred-epoch one-sided refresh cuts the
-// holder-side replica stall by at least 30% versus the paired send/recv
-// refresh. RunRMA itself enforces checksum equality between the modes.
+// rmaGoldenText renders one study row with full float precision, the form
+// testdata/rma64.golden pins.
+func rmaGoldenText(row RMARow) string {
+	return fmt.Sprintf("nodes %v\npaired_stall_s %v\nrma_stall_s %v\npaired_s %v\nrma_s %v\n",
+		row.Nodes, row.PairedStallS, row.RMAStallS, row.PairedS, row.RMAS)
+}
+
+// TestRMAStallReduction pins the headline refresh claim: at the acceptance
+// world sizes the deferred-epoch one-sided refresh cuts the holder-side
+// replica stall by at least 30% versus the paired send/recv refresh, and
+// the 64-rank row matches testdata/rma64.golden bit for bit, so the
+// pairwise-epoch timeline cannot drift unnoticed. RunRMA itself enforces
+// checksum equality between the modes.
 func TestRMAStallReduction(t *testing.T) {
 	o := DefaultRMAOptions()
 	if testing.Short() {
@@ -29,10 +43,22 @@ func TestRMAStallReduction(t *testing.T) {
 	if !res.MakespanOK() {
 		t.Fatalf("one-sided makespan exceeds paired somewhere: %+v", res.Rows)
 	}
+	want, err := os.ReadFile(filepath.Join("testdata", "rma64.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
 	for _, row := range res.Rows {
-		if row.FenceS == 0 {
-			t.Fatalf("nodes=%d: legacy fence column missing from default study", row.Nodes)
+		if row.Nodes != 64 {
+			continue
 		}
+		found = true
+		if got := rmaGoldenText(row); got != string(want) {
+			t.Errorf("64-rank RMA row drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+		}
+	}
+	if !found {
+		t.Fatal("study has no 64-rank row to compare against the golden")
 	}
 	if tbl := res.Table(); len(tbl.Rows) != len(res.Rows) {
 		t.Fatalf("table rows %d != result rows %d", len(tbl.Rows), len(res.Rows))

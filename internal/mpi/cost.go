@@ -124,22 +124,31 @@ func gatherCost(net cluster.NetParams, n, bytes int) collCost {
 
 // --- one-sided (RMA) pricing ---------------------------------------------
 //
-// The one-sided layer (window.go) likewise reuses the point-to-point
-// closed forms; its epoch arithmetic, which the RMA crosscheck tests
-// validate against per-message Send/Recv simulation, is:
+// The one-sided layer (window.go) reuses the point-to-point closed forms.
+// Its epochs are synchronised pairwise (PSCW), with every control message
+// priced as an ordinary 8-byte send and receive — the identity that makes
+// the closed form below cross-validate exactly against per-message
+// simulation (the PSCW mirrors in pscw_test.go):
 //
 //	Put(b)               origin pays cpuCost(b) at post;
 //	                     arrival = post + wireTime(b). The target pays
 //	                     nothing per message.
 //	Get(b)               origin pays cpuCost(0) at post (the zero-byte
-//	                     request); arrival = post + Latency + wireTime(b);
-//	                     the origin pays cpuCost(b) when its fence settles
-//	                     the landing.
-//	Fence                synchronisation = barrierCost(n) exactly (the
-//	                     same dissemination butterfly); then the owner
-//	                     settles each deposit in arrival order, stalling
-//	                     nbRecvStall(b, overlap) where overlap is the
-//	                     owner's wall time already elapsed past the
+//	                     request); arrival = post + Latency + wireTime(b).
+//	Post(origins)        sender side of one 8-byte Send per origin:
+//	                     cpuCost(8) each; the notification arrives
+//	                     wireTime(8) later.
+//	Start(targets)       receiver side of one 8-byte Recv per target:
+//	                     stall to the post's arrival, then cpuCost(8).
+//	Complete()           one 8-byte Send per target (cpuCost(8) each,
+//	                     arrival wireTime(8) later), then the origin
+//	                     settles its own Get landings, paying cpuCost(b)
+//	                     per landing on top of the deposit arithmetic.
+//	Wait()               receiver side of one 8-byte Recv per posted
+//	                     origin (stall + cpuCost(8) each), then the owner
+//	                     settles the epoch's deposits in arrival order,
+//	                     stalling nbRecvStall(b, overlap) where overlap is
+//	                     the owner's wall time already elapsed past the
 //	                     deposit's post — wire time hidden behind the
 //	                     owner's compute is credited to Comm.HiddenWire,
 //	                     never charged.
@@ -148,37 +157,10 @@ func gatherCost(net cluster.NetParams, n, bytes int) collCost {
 // side of a Put therefore saves exactly cpuCost(b) — the receive-side
 // copy — per message, plus the per-message matching stall; that closed
 // delta is what the crosscheck tests assert and the refresh/redist
-// consumers in internal/core spend.
-//
-// General active-target synchronization (PSCW) replaces the fence's
-// dissemination butterfly with pairwise control messages that are priced
-// as ordinary 8-byte sends and receives — the identity that makes the
-// closed form below cross-validate exactly against per-message simulation
-// (window_test.go's PSCW mirrors):
-//
-//	Post(origins)        sender side of one 8-byte Send per origin:
-//	                     cpuCost(8) each; the notification arrives
-//	                     wireTime(8) later.
-//	Start(targets)       receiver side of one 8-byte Recv per target:
-//	                     stall to the post's arrival, then cpuCost(8).
-//	Complete()           one 8-byte Send per target (cpuCost(8) each,
-//	                     arrival wireTime(8) later), then the origin
-//	                     settles its own Get landings with the fence's
-//	                     deposit arithmetic.
-//	Wait()               receiver side of one 8-byte Recv per posted
-//	                     origin (stall + cpuCost(8) each), then the owner
-//	                     settles that epoch's deposits exactly as a fence
-//	                     would — same nbRecvStall overlap form, same
-//	                     HiddenWire credit.
-//
-// An epoch over k pairs therefore prices as k control round-trips —
-// O(1) per pair, independent of the group size n — against the fence's
-// barrierCost(n) = ceil(log2 n) * (Latency + CPUPerMsg) paid by every
-// member. For the replica-refresh ring (each rank posts to one origin and
-// starts toward one target) the per-rank sync cost is two 8-byte control
-// messages each way instead of a full butterfly: that gap is the 256-rank
-// makespan regression the PSCW refresh removes (internal/exp's RMA study
-// measures it end to end).
+// consumers in internal/core spend. An epoch over k pairs prices as k
+// control round-trips — O(1) per pair, independent of the group size n,
+// where a full-group barrier would cost every member barrierCost(n) =
+// ceil(log2 n) * (Latency + CPUPerMsg).
 
 // nbRecvStall predicts the Wait-side stall of a nonblocking receive of b
 // bytes when `overlap` of receiver wall time elapsed between the matching

@@ -136,7 +136,6 @@ const (
 	opAllgather
 	opAllgatherF64
 	opGather
-	opFence
 	opKinds // count sentinel
 )
 
@@ -144,13 +143,11 @@ const (
 // and stats (the algorithm is the cost-model tree, see cost.go).
 var kindNames = [opKinds]string{
 	"barrier", "bcast", "allreduce", "allgather", "allgather-f64", "gather",
-	"fence",
 }
 
 var kindAlgorithms = [opKinds]string{
 	"dissemination", "binomial-tree", "recursive-doubling",
 	"recursive-doubling", "recursive-doubling", "binomial-gather",
-	"dissemination",
 }
 
 // collDesc describes one collective invocation. Every member passes an
@@ -698,11 +695,6 @@ func buildResult(g *Group, op *opState, desc *collDesc) (cost collCost, err erro
 	switch desc.kind {
 	case opBarrier:
 		cost = barrierCost(net, n)
-	case opFence:
-		// The fence's synchronisation component is exactly a dissemination
-		// barrier; the deposit settlement (stall + landing CPU) is charged by
-		// each owner on its own clock after the rendezvous (see window.go).
-		cost = barrierCost(net, n)
 	case opBcast:
 		cost = bcastCost(net, n, bytes)
 		if desc.pooled {
@@ -922,11 +914,11 @@ func (g *Group) leakedOps() int {
 // LeakedOps reports the number of collective rendezvous slots left
 // undrained across all groups, plus the number of nonblocking receive
 // requests still posted in a mailbox, plus the number of one-sided
-// deposits never settled by a fence (see window.go). After a Run that completes without
-// failing the world this is zero — even when ranks crashed mid-collective
-// or mid-Wait — which the failure tests assert; a non-zero count means some
-// op's bookkeeping was orphaned (the bug class the adoption walk and the
-// Kill posted-list reclaim eliminate).
+// deposits never settled by an epoch (see window.go). After a Run that
+// completes without failing the world this is zero — even when ranks
+// crashed mid-collective or mid-Wait — which the failure tests assert; a
+// non-zero count means some op's bookkeeping was orphaned (the bug class
+// the adoption walk and the Kill posted-list reclaim eliminate).
 func (w *World) LeakedOps() int {
 	total := 0
 	w.groups.Lock()

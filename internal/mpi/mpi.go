@@ -185,6 +185,9 @@ type World struct {
 		list  []*Group
 		byKey map[string]*Group
 	}
+	// winSerial numbers every window of the world, across all groups; a
+	// window's PSCW control tags derive from its serial (window.go).
+	winSerial atomic.Int64
 
 	// size is the number of ranks spawned so far (seed n, grown by Spawn);
 	// spawned[i] marks arrival slot n+i as claimed.

@@ -10,8 +10,8 @@ import (
 )
 
 // This file validates general active-target synchronization (PSCW) the
-// same way the fence is validated: against per-message Send/Recv
-// simulation of the identical traffic, exactly — the post and complete
+// same way the collective cost model is validated: against per-message
+// Send/Recv simulation of the identical traffic, exactly — the post and complete
 // notifications are priced as ordinary 8-byte messages, so the mirror is
 // literal — plus the pairwise failure suite (a dead target fails the
 // origin's start/complete, a dead origin fails the target's wait, never a
@@ -38,8 +38,8 @@ func ringPSCW(t *testing.T, n, bytes int, net cluster.NetParams) ([]vclock.Time,
 		for i := range src {
 			src[i] = float64(c.Rank()*1000 + i)
 		}
-		c.WinPost(win, []int{prev}, 0)
-		c.WinStart(win, []int{next}, nil)
+		c.WinPost(win, []int{prev})
+		c.WinStart(win, []int{next})
 		c.Put(win, next, 0, src)
 		c.WinComplete(win)
 		c.WinWait(win)
@@ -148,20 +148,50 @@ func TestPSCWSavesExactRecvCPU(t *testing.T) {
 	}
 }
 
+// ringBarrierFramed is ringPSCW's traffic under full-group
+// synchronisation, the way a fence prices an epoch: a dissemination
+// barrier, the send to the successor, a second barrier, the receive from
+// the predecessor. It returns each rank's final virtual time.
+func ringBarrierFramed(t *testing.T, n, bytes int, net cluster.NetParams) []vclock.Time {
+	t.Helper()
+	spec := cluster.Uniform(n)
+	spec.Net = net
+	finish := make([]vclock.Time, n)
+	if err := Run(cluster.New(spec), func(c *Comm) error {
+		g := c.World().AllGroup()
+		c.Barrier(g)
+		c.Send((c.Rank()+1)%n, 7, nil, bytes)
+		c.Barrier(g)
+		c.Recv((c.Rank()-1+n)%n, 7)
+		finish[c.Rank()] = c.Now()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return finish
+}
+
 // TestPSCWBeatsFenceSync pins the scalability claim the replica refresh
-// spends: on a CPU-free interconnect the pairwise ring epoch finishes
-// strictly earlier than the identical traffic under fence synchronisation
-// once the group is large enough for the dissemination butterfly
-// (ceil(log2 n) rounds) to cost more than one control round-trip.
+// and the redistribution commit spend: a pairwise ring epoch synchronises
+// only neighbouring pairs, so on a uniform CPU-free cluster every rank
+// finishes at the same virtual time whatever the group size, and strictly
+// earlier than the same traffic framed by full-group barriers (fence-style
+// synchronisation) once the group is large enough for the barrier's
+// ceil(log2 n) rounds to cost more than one control round-trip.
 func TestPSCWBeatsFenceSync(t *testing.T) {
 	net := wireNet()
 	const bytes = 4096
+	ref, _, _ := ringPSCW(t, 2, bytes, net)
 	for _, n := range []int{8, 32} {
 		pscwT, _, _ := ringPSCW(t, n, bytes, net)
-		fenceT, _ := ringPutFence(t, n, bytes, net)
+		fenceT := ringBarrierFramed(t, n, bytes, net)
 		for r := 0; r < n; r++ {
+			if pscwT[r] != ref[0] {
+				t.Errorf("n=%d rank %d: pscw finish %v, 2-rank ring %v — pairwise sync must not grow with n",
+					n, r, pscwT[r], ref[0])
+			}
 			if pscwT[r] >= fenceT[r] {
-				t.Errorf("n=%d rank %d: pscw finish %v, fence %v — pairwise sync should be cheaper",
+				t.Errorf("n=%d rank %d: pscw finish %v, barrier-framed %v — pairwise sync should be cheaper",
 					n, r, pscwT[r], fenceT[r])
 			}
 		}
@@ -190,12 +220,12 @@ func TestGetPSCWMatchesRequestResponseSim(t *testing.T) {
 		}
 		win := c.WinCreate(g, mem)
 		if c.Rank() == 1 {
-			c.WinPost(win, []int{0}, 0)
+			c.WinPost(win, []int{0})
 			c.WinWait(win)
 			return nil
 		}
 		dst := make([]float64, elems)
-		c.WinStart(win, []int{1}, nil)
+		c.WinStart(win, []int{1})
 		c.Get(win, 1, 0, dst)
 		c.WinComplete(win)
 		rmaFinish = c.Now()
@@ -260,12 +290,12 @@ func TestPSCWDrainDeterministic(t *testing.T) {
 				for r := 1; r < n; r++ {
 					origins = append(origins, r)
 				}
-				c.WinPost(win, origins, 0)
+				c.WinPost(win, origins)
 				c.WinWait(win)
 				finish, stall, bytes = c.Now(), c.RecvStall, c.RecvBytes
 				return nil
 			}
-			c.WinStart(win, []int{0}, nil)
+			c.WinStart(win, []int{0})
 			src := make([]float64, 8*c.Rank())
 			c.Put(win, 0, 64*(c.Rank()-1), src[:4])
 			c.Put(win, 0, 64*(c.Rank()-1)+4, src)
@@ -285,42 +315,55 @@ func TestPSCWDrainDeterministic(t *testing.T) {
 	}
 }
 
-// TestPSCWFenceSameWindowDisjoint drives fence traffic and PSCW traffic
-// through the *same* window in alternation and asserts neither discipline
-// settles the other's deposits: a fence drains only fence-stamped
-// deposits, a wait only the completed pairwise epoch's.
-func TestPSCWFenceSameWindowDisjoint(t *testing.T) {
+// TestPSCWAccessExposureDisjoint drives an access epoch (a Get landing
+// in the origin's own slot) and an exposure epoch (a neighbour's Put into
+// the same slot) through one window at once, and asserts each closing call
+// settles only its own deposits: the complete settles exactly the Get
+// landing, the wait exactly the incoming Put.
+func TestPSCWAccessExposureDisjoint(t *testing.T) {
 	const n = 4
 	spec := cluster.Uniform(n)
 	w := NewWorld(cluster.New(spec))
 	if err := w.Run(func(c *Comm) error {
 		g := c.World().AllGroup()
 		mem := make(FlatMem, 2*n)
+		for i := range mem {
+			mem[i] = float64(10*c.Rank() + i)
+		}
 		win := c.WinCreate(g, mem)
 		prev := (c.Rank() - 1 + n) % n
 		next := (c.Rank() + 1) % n
-		c.Fence(win)
-		// Fence-epoch put into slot [0, n).
-		c.Put(win, next, c.Rank(), []float64{float64(100 + c.Rank())})
-		// Pairwise epoch over the same window into slot [n, 2n).
-		c.WinPost(win, []int{prev}, 0)
-		c.WinStart(win, []int{next}, nil)
+		c.WinPost(win, []int{prev})
+		c.WinStart(win, []int{next})
+		got := make([]float64, 2)
+		c.Get(win, next, 0, got)
 		c.Put(win, next, n+c.Rank(), []float64{float64(200 + c.Rank())})
+		msgs0, bytes0 := c.RecvMsgs, c.RecvBytes
 		c.WinComplete(win)
-		c.WinWait(win)
-		if got, want := mem[n+prev], float64(200+prev); got != want {
-			t.Errorf("rank %d: pscw deposit = %v, want %v", c.Rank(), got, want)
+		// The complete received nothing but settled the one Get landing.
+		if dm, db := c.RecvMsgs-msgs0, c.RecvBytes-bytes0; dm != 1 || db != int64(F64Bytes(2)) {
+			t.Errorf("rank %d: complete settled %d deposits / %d bytes, want the one %d-byte get",
+				c.Rank(), dm, db, F64Bytes(2))
 		}
-		c.Fence(win)
-		if got, want := mem[prev], float64(100+prev); got != want {
-			t.Errorf("rank %d: fence deposit = %v, want %v", c.Rank(), got, want)
+		msgs0, bytes0 = c.RecvMsgs, c.RecvBytes
+		c.WinWait(win)
+		// The wait received one completion notification and settled one Put.
+		if dm, db := c.RecvMsgs-msgs0, c.RecvBytes-bytes0; dm != 2 || db != int64(pscwCtlBytes+F64Bytes(1)) {
+			t.Errorf("rank %d: wait received %d messages / %d bytes, want the notification and the one put",
+				c.Rank(), dm, db)
+		}
+		if want := float64(10 * next); got[0] != want {
+			t.Errorf("rank %d: get = %v, want %v", c.Rank(), got[0], want)
+		}
+		if got, want := mem[n+prev], float64(200+prev); got != want {
+			t.Errorf("rank %d: put deposit = %v, want %v", c.Rank(), got, want)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if leaked := w.LeakedOps(); leaked != 0 {
-		t.Fatalf("leaked %d ops after mixed fence/pscw run", leaked)
+		t.Fatalf("leaked %d ops after mixed access/exposure run", leaked)
 	}
 }
 
@@ -344,8 +387,8 @@ func TestPSCWCrashOriginFailsWait(t *testing.T) {
 		src := []float64{float64(c.Rank())}
 		for cycle := 0; cycle < 3; cycle++ {
 			c.InjectCycleFaults(cycle) // rank 2 dies entering cycle 1
-			c.WinPost(win, []int{prev}, 0)
-			if err := c.WinStartErr(win, []int{next}, nil); err != nil {
+			c.WinPost(win, []int{prev})
+			if err := c.WinStartErr(win, []int{next}); err != nil {
 				// Rank 1's target is the dead rank 2.
 				var rf *RankFailedError
 				if !errors.As(err, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != 2 {
@@ -419,7 +462,7 @@ func TestPSCWCrashOriginAfterDeposit(t *testing.T) {
 		c.InjectCycleFaults(0)
 		if c.Rank() == 0 {
 			// Origin: start, deposit in full, die before completing.
-			if err := c.WinStartErr(win, []int{1}, nil); err != nil {
+			if err := c.WinStartErr(win, []int{1}); err != nil {
 				t.Errorf("rank 0: start failed: %v", err)
 				return nil
 			}
@@ -428,7 +471,7 @@ func TestPSCWCrashOriginAfterDeposit(t *testing.T) {
 			t.Error("rank 0 survived its crash cycle")
 			return nil
 		}
-		c.WinPost(win, []int{0}, 0)
+		c.WinPost(win, []int{0})
 		err := c.WinWaitErr(win)
 		var rf *RankFailedError
 		if !errors.As(err, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != 0 {
@@ -473,13 +516,13 @@ func TestPSCWCrashTargetFailsComplete(t *testing.T) {
 		win := c.WinCreate(g, make(FlatMem, 4))
 		c.InjectCycleFaults(0)
 		if c.Rank() == 1 {
-			c.WinPost(win, []int{0}, 0)
+			c.WinPost(win, []int{0})
 			c.InjectCycleFaults(1) // dies after posting
 			t.Error("rank 1 survived its crash cycle")
 			return nil
 		}
 		// The post was sent before the death, so the start succeeds.
-		if err := c.WinStartErr(win, []int{1}, nil); err != nil {
+		if err := c.WinStartErr(win, []int{1}); err != nil {
 			t.Errorf("rank 0: start failed: %v", err)
 			return nil
 		}

@@ -9,15 +9,20 @@ import (
 	"repro/internal/vclock"
 )
 
-// One-sided RMA layer: windows, Put/Get, and fence epochs.
+// One-sided RMA layer: windows, Put/Get, and pairwise PSCW epochs.
 //
 // A Win exposes each group member's slab memory for direct remote access.
-// Between two fences (an epoch), any member may Put into — or Get from —
-// any other member's window; the owner does not participate per message.
-// The fence closes the epoch: it synchronises the group (priced as a
-// dissemination barrier, see cost.go) and then settles every deposit that
-// landed in the caller's own window during the epoch, in a deterministic
-// order.
+// Access is synchronised with general active-target synchronization
+// (post/start/complete/wait, PSCW): WinPost declares which origins may
+// access this rank's window, WinStartErr blocks the origin until every
+// named target has posted, Put and Get then move data one-sided,
+// WinCompleteErr closes the origin's access epoch (notifying each target
+// and settling the origin's own Get landings), and WinWaitErr blocks the
+// target until every posted origin has completed, then settles their
+// deposits in a deterministic order. Only the participating pairs
+// synchronise — each post and each complete is one small control message
+// riding the ordinary mailbox — so an epoch over k pairs prices as k
+// round-trips, independent of the group size (see cost.go).
 //
 // Virtual-time contract (the one-sided analogue of the request layer's):
 //
@@ -29,55 +34,35 @@ import (
 //   - Get charges the origin a zero-byte injection at post time; the data
 //     arrives one latency (the request reaching the target's NIC) plus the
 //     payload's wireTime later, and the origin pays the landing CPU cost
-//     when its own fence settles the transfer.
-//   - Fence advances every member to a common barrier-completion time,
-//     then each owner drains its own deposits: residual wire time not
+//     when its own complete settles the transfer.
+//   - Settlement (wait for Puts, complete for Gets): residual wire time not
 //     already hidden behind the owner's computation is paid as stall
 //     (accumulated into Comm.RecvStall) and the hidden remainder is
 //     credited to Comm.HiddenWire — the exact arithmetic of a request
 //     Wait, validated against per-message Send/Recv simulation by the
 //     crosscheck tests.
 //
-// Failure contract: a fence whose group lost a member returns
-// *RankFailedError and settles nothing — no deposit is drained and the
-// epoch does not advance, so the call can never hang on a dead peer. The
-// owner may then inspect the dead origin's deposits with PendingFrom (a
-// crashed rank's Puts completed before its death was published, on its own
-// goroutine, so presence is deterministic) and must release the window
-// with DiscardPending before abandoning it. Put and Get on a target
-// already marked dead deposit nothing; the death is reported at the fence.
-//
-// General active-target synchronization (PSCW) is the pairwise alternative
-// to the fence: WinPost declares which origins may access this rank's
-// window, WinStartErr blocks the origin until every named target has
-// posted, WinCompleteErr closes the origin's access epoch (notifying each
-// target and settling the origin's own Get landings), and WinWaitErr
-// blocks the target until every posted origin has completed, then settles
-// their deposits with the exact fence arithmetic. Only the participating
-// pairs synchronise — each post and each complete is one small control
-// message riding the ordinary mailbox, so an epoch over k pairs prices as
-// k round-trips instead of a full-group dissemination barrier (see
-// cost.go). Deposits made under an open access epoch are stamped with the
-// origin's PSCW epoch counter and are invisible to fences; a window may
-// use either discipline, or both for disjoint transfers.
-//
-// PSCW failure contract, symmetric with FenceErr: a dead target fails the
-// origin's WinStartErr or WinCompleteErr, a dead origin fails the target's
-// WinWaitErr, and no call can hang (control receives use the bounded-wait
-// failure detection of RecvErr; completion notifications go out to every
-// live target before WinCompleteErr reports the dead ones, so surviving
-// peers always unblock). A failed wait settles nothing; the target may
-// inspect a dead origin's deposits with PendingPSCW and must DiscardPending
-// before abandoning the window. Windows of different groups must not run
-// overlapping PSCW epochs on a shared rank pair — the same per-communicator
-// epoch discipline MPI imposes.
+// Failure contract: a dead target fails the origin's WinStartErr or
+// WinCompleteErr, a dead origin fails the target's WinWaitErr, and no call
+// can hang (control receives use the bounded-wait failure detection of
+// RecvErr; completion notifications go out to every live target before
+// WinCompleteErr reports the dead ones, so surviving peers always
+// unblock). A failed wait settles nothing; the target may inspect a dead
+// origin's deposits with PendingPSCW (a crashed rank's Puts completed
+// before its death was published, on its own goroutine, so presence is
+// deterministic) and must DiscardPending before abandoning the window. Put
+// and Get on a target already marked dead deposit nothing; the death is
+// reported by the epoch calls. Each window's control traffic has its own
+// tags, so epochs on different windows may overlap freely; on one window a
+// rank holds at most one access and one exposure epoch at a time.
 //
 // Memory visibility: deposits mutate the target's memory at call time,
 // under the target slot's mutex. The owner must not access the exposed
-// range while an epoch in which remote ranks deposit is open — the same
-// rule as MPI_Win_fence — and may freely access it between an epoch-closing
-// fence and the next deposit (the fence's rendezvous atomics carry the
-// happens-before edge from every origin's write to the owner's reads).
+// range between its post and the matching wait, and may freely access it
+// after the wait (the completion notifications carry the happens-before
+// edge from every origin's write to the owner's reads). The post is
+// likewise the write barrier for the owner's own accesses and attaches:
+// an origin cannot deposit before its start consumes the post.
 
 // WinMem is memory exposed through a window, in float64 elements. The
 // indirection (instead of a flat slice) lets owners expose non-contiguous
@@ -105,72 +90,65 @@ func (m FlatMem) ReadAt(off int, dst []float64) { copy(dst, m[off:off+len(dst)])
 func (m FlatMem) Len() int { return len(m) }
 
 // deposit is one one-sided transfer landed in a window slot, recorded at
-// the origin's post time and settled by the owner's epoch-closing fence.
-// Deposits are stored by value in the slot's pending list, so the
-// steady-state Put path performs no heap allocation once the list's
-// high-water mark is reached.
+// the origin's post time and settled by the owner's wait (a Put) or the
+// origin's own complete (a Get landing). Deposits are stored by value in
+// the slot's pending list, so the steady-state Put path performs no heap
+// allocation once the list's high-water mark is reached.
 type deposit struct {
 	originSlot int
 	off        int
 	elems      int
 	bytes      int
 	get        bool        // origin-side landing of a Get (owner pays the CPU copy)
-	pscw       bool        // stamped under an open PSCW access epoch; settled by wait/complete, never by a fence
 	post       vclock.Time // origin clock when the transfer was injected
 	avail      vclock.Time // when the data has fully arrived
 	seq        int64       // per-origin program order, for deterministic ties
-	epoch      int64       // epoch the transfer belongs to (fence or PSCW counter, per pscw)
+	epoch      int64       // a Put's target exposure epoch (winSlot.epoch at deposit)
 }
 
-// winSlot is one member's side of a window: its attached memory and the
-// deposits pending against it. mu serialises remote deposits with each
-// other and with the owner's drain; drain is the owner-only settlement
-// scratch (filled under mu, consumed outside it).
+// winSlot is one member's side of a window: its attached memory, the
+// deposits pending against it, and the count of exposure epochs it has
+// closed — the stamp every Put into the open exposure epoch carries, so a
+// wait drains exactly its own epoch's deposits. mu serialises remote
+// deposits with each other and with the owner's drain; drain is the
+// owner-only settlement scratch (filled under mu, consumed outside it).
 type winSlot struct {
 	mu    sync.Mutex
 	mem   WinMem
 	dep   []deposit
 	drain []deposit
+	epoch int64
 }
 
 // Win is a one-sided access window over each group member's memory. All
 // members create it collectively (the k-th WinCreate call of every member
-// resolves to the same Win) and advance its epochs together through Fence.
+// resolves to the same Win) and synchronise access pairwise through PSCW
+// epochs.
 type Win struct {
 	g     *Group
 	id    int // index within the group's window registry
+	tag   int // post-notification tag; the completion tag is tag+1
 	slots []winSlot
 
-	// epoch[s] is member s's current epoch number and putSeq[s] its
-	// program-order deposit counter; both are written only by member s's
-	// goroutine. Fences advance every member's epoch in lockstep, so an
-	// origin's stamp names exactly the epoch the owner will drain —
-	// including across the physical race where a fast origin starts the
-	// next epoch's Puts while the owner is still settling this one.
-	epoch  []int64
+	// Per-member epoch state, each entry written only by member s's own
+	// goroutine: putSeq[s] is its program-order deposit counter, access[s]
+	// the open access epoch's target list and expose[s] the open exposure
+	// epoch's origin list.
 	putSeq []int64
-
-	// PSCW state, the pairwise analogue of epoch: accEpoch[s] is member
-	// s's access-epoch counter (advanced by its own WinCompleteErr),
-	// access[s] the open access epoch's target list and expose[s] the open
-	// exposure epoch's origin list. All three are written only by member
-	// s's goroutine, like epoch/putSeq.
-	accEpoch []int64
-	access   [][]int
-	expose   [][]int
+	access [][]int
+	expose [][]int
 }
 
 func newWin(g *Group, id int) *Win {
 	n := len(g.members)
 	return &Win{
-		g:        g,
-		id:       id,
-		slots:    make([]winSlot, n),
-		epoch:    make([]int64, n),
-		putSeq:   make([]int64, n),
-		accEpoch: make([]int64, n),
-		access:   make([][]int, n),
-		expose:   make([][]int, n),
+		g:      g,
+		id:     id,
+		tag:    pscwTagBase + 2*int(g.w.winSerial.Add(1)-1),
+		slots:  make([]winSlot, n),
+		putSeq: make([]int64, n),
+		access: make([][]int, n),
+		expose: make([][]int, n),
 	}
 }
 
@@ -185,8 +163,8 @@ func (win *Win) ID() int { return win.id }
 // windows are canonical per creation order: the k-th call on g by every
 // member returns the same Win, which is how SPMD ranks meet on a window
 // without naming it. mem may be nil for members that expose nothing (pure
-// origins). The window is usable once every member has both created it and
-// passed a first Fence — creation itself synchronises nothing.
+// origins). Creation synchronises nothing: an origin may access a target's
+// memory once its start has consumed that target's post.
 func (c *Comm) WinCreate(g *Group, mem WinMem) *Win {
 	c.checkFailed()
 	slot := c.groupSlot(g)
@@ -202,9 +180,9 @@ func (c *Comm) WinCreate(g *Group, mem WinMem) *Win {
 	return win
 }
 
-// WinAttach replaces this rank's exposed memory. The caller must separate
-// the attach from any remote deposit against it with a Fence (the same
-// epoch discipline as any other local access to window memory).
+// WinAttach replaces this rank's exposed memory. The caller must not
+// attach while an exposure epoch is open; the next post publishes the new
+// memory to the origins it names.
 func (c *Comm) WinAttach(win *Win, mem WinMem) {
 	slot := c.groupSlot(win.g)
 	ts := &win.slots[slot]
@@ -213,13 +191,24 @@ func (c *Comm) WinAttach(win *Win, mem WinMem) {
 	ts.mu.Unlock()
 }
 
+// accessSeq returns the caller's slot and advances its program-order
+// deposit counter. Put and Get are only legal inside an access epoch
+// (between WinStartErr and WinCompleteErr).
+func (c *Comm) accessSeq(win *Win, op string) (slot int, seq int64) {
+	slot = c.groupSlot(win.g)
+	if len(win.access[slot]) == 0 {
+		panic(fmt.Sprintf("mpi: rank %d %s on window %d outside an access epoch", c.rank, op, win.id))
+	}
+	win.putSeq[slot]++
+	return slot, win.putSeq[slot]
+}
+
 // Put starts a one-sided transfer of src into target's window memory at
-// element offset off. It completes at the next Fence: the origin pays the
-// injection CPU now, the target pays nothing per message, and the residual
-// wire time is settled when the target's fence closes the epoch. src is
+// element offset off, inside an access epoch opened by WinStartErr. The
+// origin pays the injection CPU now, the target pays nothing per message,
+// and the residual wire time is settled by the target's WinWaitErr. src is
 // copied at call time, so the caller may reuse it immediately. A Put to a
-// target already marked dead deposits nothing; the death surfaces as the
-// fence's *RankFailedError.
+// target already marked dead deposits nothing.
 func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	c.checkFailed()
 	g := win.g
@@ -238,18 +227,12 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 	post := c.node.Now()
 	c.SentMsgs++
 	c.SentBytes += int64(bytes)
-	oslot := c.groupSlot(g)
-	win.putSeq[oslot]++
-	pscw := len(win.access[oslot]) > 0
-	ep := win.epoch[oslot]
-	if pscw {
-		ep = win.accEpoch[oslot]
-	}
+	oslot, seq := c.accessSeq(win, "put")
 	ts := &win.slots[tslot]
 	ts.mu.Lock()
 	if c.w.deadCount.Load() > 0 && c.w.dead[target].Load() {
 		// The dead slot's pending list was already reclaimed by Kill and no
-		// fence will ever drain it; depositing would leak.
+		// wait will ever drain it; depositing would leak.
 		ts.mu.Unlock()
 		return
 	}
@@ -265,21 +248,21 @@ func (c *Comm) Put(win *Win, target, off int, src []float64) {
 		off:        off,
 		elems:      len(src),
 		bytes:      bytes,
-		pscw:       pscw,
 		post:       post,
 		avail:      post.Add(wireTime(net, bytes) + faultDelay),
-		seq:        win.putSeq[oslot],
-		epoch:      ep,
+		seq:        seq,
+		epoch:      ts.epoch,
 	})
 	ts.mu.Unlock()
 }
 
 // Get starts a one-sided read of target's window memory at element offset
-// off into dst. The data is captured at call time (the epoch discipline
-// guarantees it is stable) and becomes usable after the origin's next
-// Fence, which pays the landing CPU cost; the target is not disturbed. The
-// modelled arrival is one latency (the zero-byte request reaching the
-// target) plus the payload's wire time.
+// off into dst, inside an access epoch opened by WinStartErr. The data is
+// captured at call time (the epoch discipline guarantees it is stable) and
+// becomes usable after the origin's WinCompleteErr, which pays the landing
+// CPU cost; the target is not disturbed. The modelled arrival is one
+// latency (the zero-byte request reaching the target) plus the payload's
+// wire time.
 func (c *Comm) Get(win *Win, target, off int, dst []float64) {
 	c.checkFailed()
 	g := win.g
@@ -296,13 +279,7 @@ func (c *Comm) Get(win *Win, target, off int, dst []float64) {
 	bytes := F64Bytes(len(dst))
 	c.node.Compute(cpuCost(net, 0)) // zero-byte request injection
 	post := c.node.Now()
-	oslot := c.groupSlot(g)
-	win.putSeq[oslot]++
-	pscw := len(win.access[oslot]) > 0
-	ep := win.epoch[oslot]
-	if pscw {
-		ep = win.accEpoch[oslot]
-	}
+	oslot, seq := c.accessSeq(win, "get")
 	ts := &win.slots[tslot]
 	ts.mu.Lock()
 	if c.w.deadCount.Load() > 0 && c.w.dead[target].Load() {
@@ -317,8 +294,7 @@ func (c *Comm) Get(win *Win, target, off int, dst []float64) {
 		ts.mem.ReadAt(off, dst)
 	}
 	ts.mu.Unlock()
-	// The landing settles at the origin's own epoch close (fence or
-	// complete): a self-deposit.
+	// The landing settles at the origin's own complete: a self-deposit.
 	os := &win.slots[oslot]
 	os.mu.Lock()
 	os.dep = append(os.dep, deposit{
@@ -327,85 +303,20 @@ func (c *Comm) Get(win *Win, target, off int, dst []float64) {
 		elems:      len(dst),
 		bytes:      bytes,
 		get:        true,
-		pscw:       pscw,
 		post:       post,
 		avail:      post.Add(net.Latency + wireTime(net, bytes) + faultDelay),
-		seq:        win.putSeq[oslot],
-		epoch:      ep,
+		seq:        seq,
 	})
 	os.mu.Unlock()
-}
-
-// Fence closes the window's current epoch, failing the whole world when a
-// group member is dead (mirroring the blocking collectives).
-func (c *Comm) Fence(win *Win) {
-	if err := c.FenceErr(win); err != nil {
-		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
-		panic(errFailed)
-	}
-}
-
-// FenceErr closes the window's current epoch: it synchronises the group (a
-// dissemination barrier), then settles every deposit that landed in the
-// caller's own window during the epoch — in (arrival, origin, program
-// order) order, so the settlement is deterministic regardless of physical
-// scheduling — and opens the next epoch. When a group member is dead it
-// returns *RankFailedError without settling anything or advancing the
-// epoch; see PendingFrom and DiscardPending for the recovery protocol.
-func (c *Comm) FenceErr(win *Win) error {
-	if _, err := c.rendezvousErr(win.g, nil, nil, &collDesc{kind: opFence}, nil); err != nil {
-		return err
-	}
-	slot := c.groupSlot(win.g)
-	ep := win.epoch[slot]
-	ts := &win.slots[slot]
-	ts.mu.Lock()
-	// PSCW-stamped deposits belong to a pairwise epoch and are settled by
-	// WinWaitErr/WinCompleteErr, never by a fence.
-	drain := extractDeposits(ts, func(d *deposit) bool { return d.epoch == ep && !d.pscw })
-	ts.mu.Unlock()
-	sortDeposits(drain)
-	bytes, stall, hidden := c.settleDeposits(drain)
-	ts.drain = drain
-	win.epoch[slot] = ep + 1
-	if len(drain) > 0 {
-		c.emitRMA("fence", win.id, len(drain), bytes, stall, hidden)
-	}
-	return nil
-}
-
-// extractDeposits moves every deposit matching match out of ts.dep into the
-// returned slice (backed by ts.drain's array), compacting the rest in place
-// and zeroing the dropped tail. A deposit that does not match stays for a
-// later settlement — e.g. a faster origin already opened the next epoch, or
-// the transfer belongs to the other synchronization discipline. Caller
-// holds ts.mu and must store the result back into ts.drain after settling.
-func extractDeposits(ts *winSlot, match func(*deposit) bool) []deposit {
-	drain := ts.drain[:0]
-	keep := ts.dep[:0]
-	for i := range ts.dep {
-		d := ts.dep[i]
-		if match(&d) {
-			drain = append(drain, d)
-		} else {
-			keep = append(keep, d)
-		}
-	}
-	// Clear the tail so dropped entries do not linger in the backing array.
-	for i := len(keep); i < len(ts.dep); i++ {
-		ts.dep[i] = deposit{}
-	}
-	ts.dep = keep
-	return drain
 }
 
 // settleDeposits drains one epoch's worth of deposits on the caller's
 // clock: each is stalled to arrival if still in flight (Get landings
 // additionally pay the landing CPU), counted into the receive counters, and
 // wire time already covered by the caller's computation is credited to
-// HiddenWire. The arithmetic is shared verbatim between fence and PSCW
-// settlement — the disciplines differ only in who synchronises, not in
-// what a drained deposit costs. The caller must sortDeposits first.
+// HiddenWire. The arithmetic is shared verbatim between the target's wait
+// (Puts) and the origin's complete (Get landings). The caller must
+// sortDeposits first.
 func (c *Comm) settleDeposits(drain []deposit) (bytes int64, stall, hidden vclock.Duration) {
 	net := c.w.cl.Net()
 	for i := range drain {
@@ -435,7 +346,7 @@ func (c *Comm) settleDeposits(drain []deposit) (bytes int64, stall, hidden vcloc
 
 // sortDeposits orders deposits by (arrival, origin slot, per-origin program
 // order) — a total, schedule-independent order. Insertion sort: epochs
-// settle a handful of deposits, and the sort must not allocate (the fence
+// settle a handful of deposits, and the sort must not allocate (settlement
 // is on the zero-alloc steady-state path).
 func sortDeposits(d []deposit) {
 	for i := 1; i < len(d); i++ {
@@ -455,18 +366,43 @@ func depositLess(a, b *deposit) bool {
 	return a.seq < b.seq
 }
 
-// emitRMA emits an RMARecord for a settled epoch through the node's
-// telemetry sink, if one is attached.
-func (c *Comm) emitRMA(op string, window, deposits int, bytes int64, stall, hidden vclock.Duration) {
+// settle drains the caller's slot of its Get landings (get) or of the
+// Puts of its open exposure epoch (!get), settles them in deterministic
+// order on the caller's clock, and emits one RMARecord for the epoch when
+// any settled. Deposits that do not match stay pending, compacted in
+// place; the drained ones move into the slot's reusable drain scratch, so
+// steady-state settlement allocates nothing.
+func (c *Comm) settle(win *Win, slot int, get bool) {
+	ts := &win.slots[slot]
+	ts.mu.Lock()
+	drain := ts.drain[:0]
+	keep := ts.dep[:0]
+	for _, d := range ts.dep {
+		if d.get == get && (get || d.epoch == ts.epoch) {
+			drain = append(drain, d)
+		} else {
+			keep = append(keep, d)
+		}
+	}
+	// Clear the tail so dropped entries do not linger in the backing array.
+	clear(ts.dep[len(keep):])
+	ts.dep = keep
+	ts.mu.Unlock()
+	sortDeposits(drain)
+	bytes, stall, hidden := c.settleDeposits(drain)
+	ts.drain = drain
+	if len(drain) == 0 {
+		return
+	}
 	sink, st := c.node.Telemetry()
 	if sink == nil {
 		return
 	}
 	sink.Emit(telemetry.RMARecord{
 		Base:     st.Stamp(telemetry.KindRMA, -1, c.node.Now().Seconds()),
-		Op:       op,
-		Window:   window,
-		Deposits: deposits,
+		Op:       "pscw",
+		Window:   win.id,
+		Deposits: len(drain),
 		Bytes:    bytes,
 		StallS:   stall.Seconds(),
 		HiddenS:  hidden.Seconds(),
@@ -475,29 +411,28 @@ func (c *Comm) emitRMA(op string, window, deposits int, bytes int64, stall, hidd
 
 // PSCW control messages ride the ordinary mailbox under reserved tags far
 // above the runtime's tag space (internal/core reserves 1<<20 and a few
-// KiB above it): the post and complete notifications for window w use
-// pscwTagBase+2*w.id and pscwTagBase+2*w.id+1. Windows of one group have
-// distinct ids, so their control traffic never cross-matches; windows of
-// different groups must not run overlapping PSCW epochs on a shared rank
-// pair (the header's epoch-discipline rule).
+// KiB above it): the post and complete notifications of the world's k-th
+// window use pscwTagBase+2k and pscwTagBase+2k+1. Every window of the
+// world — whatever its group — has its own pair, so control traffic never
+// cross-matches between windows, not even when a notification of an
+// abandoned epoch (a peer died mid-protocol) is left undelivered in a
+// mailbox and the survivors rebuild their windows on a new group.
 const pscwTagBase = 1 << 26
 
 // pscwCtlBytes is the modelled size of a post or complete notification: one
-// int64 payload. Control messages are priced exactly as ordinary sends and
+// int64 word. Control messages are priced exactly as ordinary sends and
 // receives of this size — that identity is what makes the PSCW closed form
 // in cost.go trivially cross-validate against per-message simulation.
 const pscwCtlBytes = 8
 
-func (win *Win) pscwPostTag() int { return pscwTagBase + 2*win.id }
-func (win *Win) pscwDoneTag() int { return pscwTagBase + 2*win.id + 1 }
+func (win *Win) pscwPostTag() int { return win.tag }
+func (win *Win) pscwDoneTag() int { return win.tag + 1 }
 
 // WinPost opens an exposure epoch: it declares that exactly origins may
 // access this rank's window until the matching WinWaitErr, and sends each
-// a post notification carrying note (delivered to its WinStartErr — a
-// side-band for pairwise protocol state, e.g. a transport-mode verdict).
-// The call does not block: posts to dead origins are dropped in delivery
-// and the deaths surface at the wait.
-func (c *Comm) WinPost(win *Win, origins []int, note int64) {
+// a post notification. The call does not block: posts to dead origins are
+// dropped in delivery and the deaths surface at the wait.
+func (c *Comm) WinPost(win *Win, origins []int) {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
 	if len(win.expose[slot]) != 0 {
@@ -510,52 +445,48 @@ func (c *Comm) WinPost(win *Win, origins []int, note int64) {
 		if o == c.rank {
 			panic("mpi: post to self")
 		}
-		c.Send(o, win.pscwPostTag(), note, pscwCtlBytes)
+		c.Send(o, win.pscwPostTag(), nil, pscwCtlBytes)
 	}
 	win.expose[slot] = append(win.expose[slot][:0], origins...)
 }
 
 // WinStart opens an access epoch, failing the whole world when a target is
 // dead (mirroring the blocking collectives).
-func (c *Comm) WinStart(win *Win, targets []int, notes []int64) {
-	if err := c.WinStartErr(win, targets, notes); err != nil {
+func (c *Comm) WinStart(win *Win, targets []int) {
+	if err := c.WinStartErr(win, targets); err != nil {
 		c.w.fail(fmt.Errorf("rank %d: %w", c.rank, err))
 		panic(errFailed)
 	}
 }
 
 // WinStartErr opens an access epoch toward targets: it blocks until every
-// named target's post notification arrives, then arms PSCW stamping so
-// subsequent Put/Get calls settle pairwise instead of at a fence. When
-// notes is non-nil it receives target i's post note at notes[i]. A dead
-// target fails the call with *RankFailedError (every remaining target's
-// post is still consumed, so no control message is left behind) and the
-// epoch does not open.
-func (c *Comm) WinStartErr(win *Win, targets []int, notes []int64) error {
+// named target's post notification arrives, after which Put and Get may
+// access those targets. A dead target fails the call with
+// *RankFailedError (every remaining target's post is still consumed, so no
+// control message is left behind) and the epoch does not open — for every
+// target, so an origin that must keep serving live targets when one may be
+// dead runs one epoch per target.
+func (c *Comm) WinStartErr(win *Win, targets []int) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
 	if len(win.access[slot]) != 0 {
 		panic(fmt.Sprintf("mpi: rank %d starting window %d with access epoch already open", c.rank, win.id))
 	}
 	var dead []int
-	for i, t := range targets {
+	for _, t := range targets {
 		if _, ok := win.g.slot[t]; !ok {
 			panic(fmt.Sprintf("mpi: start toward rank %d outside window group", t))
 		}
 		if t == c.rank {
 			panic("mpi: start toward self")
 		}
-		p, _, err := c.RecvErr(t, win.pscwPostTag())
-		if err != nil {
+		if _, _, err := c.RecvErr(t, win.pscwPostTag()); err != nil {
 			var rf *RankFailedError
 			if errors.As(err, &rf) {
 				dead = append(dead, rf.Ranks...)
 				continue
 			}
 			return err
-		}
-		if notes != nil {
-			notes[i] = p.(int64)
 		}
 	}
 	if dead != nil {
@@ -576,42 +507,26 @@ func (c *Comm) WinComplete(win *Win) {
 
 // WinCompleteErr closes this rank's open access epoch: it notifies every
 // target that the epoch's transfers are in flight (one control message
-// each, carrying the epoch stamp the target's wait drains by), settles
-// this rank's own Get landings of the epoch, and advances the access-epoch
-// counter. A dead target fails the call with *RankFailedError — after
-// every live target has been notified, so surviving peers never hang —
-// without settling or advancing; the pending Get landings are left for
-// DiscardPending.
+// each) and settles this rank's own Get landings of the epoch. A dead
+// target fails the call with *RankFailedError — after every live target
+// has been notified, so surviving peers never hang — without settling; the
+// pending Get landings are left for DiscardPending.
 func (c *Comm) WinCompleteErr(win *Win) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
-	targets := win.access[slot]
-	ep := win.accEpoch[slot]
 	var dead []int
-	for _, t := range targets {
+	for _, t := range win.access[slot] {
 		if c.w.deadCount.Load() > 0 && c.w.dead[t].Load() {
 			dead = append(dead, t)
 			continue
 		}
-		c.Send(t, win.pscwDoneTag(), ep, pscwCtlBytes)
+		c.Send(t, win.pscwDoneTag(), nil, pscwCtlBytes)
 	}
 	win.access[slot] = win.access[slot][:0]
 	if dead != nil {
 		return &RankFailedError{Op: "win-complete", Ranks: dead}
 	}
-	ts := &win.slots[slot]
-	ts.mu.Lock()
-	drain := extractDeposits(ts, func(d *deposit) bool {
-		return d.pscw && d.get && d.originSlot == slot && d.epoch == ep
-	})
-	ts.mu.Unlock()
-	sortDeposits(drain)
-	bytes, stall, hidden := c.settleDeposits(drain)
-	ts.drain = drain
-	win.accEpoch[slot] = ep + 1
-	if len(drain) > 0 {
-		c.emitRMA("pscw", win.id, len(drain), bytes, stall, hidden)
-	}
+	c.settle(win, slot, true)
 	return nil
 }
 
@@ -626,69 +541,48 @@ func (c *Comm) WinWait(win *Win) {
 
 // WinWaitErr closes this rank's open exposure epoch: it blocks until every
 // posted origin's completion notification arrives, then drains and settles
-// the deposits those origins stamped — in the same deterministic (arrival,
-// origin, program order) order as a fence. A dead origin fails the call
-// with *RankFailedError without settling anything (the remaining live
-// origins' notifications are still consumed); see PendingPSCW and
+// the epoch's deposits in (arrival, origin, program order) order. A dead
+// origin fails the call with *RankFailedError without settling anything
+// (the remaining live origins' notifications are still consumed, so every
+// live origin's Puts have landed when it returns); see PendingPSCW and
 // DiscardPending for the recovery protocol. Either way the exposure epoch
 // is closed.
 func (c *Comm) WinWaitErr(win *Win) error {
 	c.checkFailed()
 	slot := c.groupSlot(win.g)
-	origins := win.expose[slot]
-	type doneStamp struct {
-		oslot int
-		epoch int64
-	}
-	stamps := make([]doneStamp, 0, 8)
 	var dead []int
-	for _, o := range origins {
-		p, _, err := c.RecvErr(o, win.pscwDoneTag())
-		if err != nil {
+	for _, o := range win.expose[slot] {
+		if _, _, err := c.RecvErr(o, win.pscwDoneTag()); err != nil {
 			var rf *RankFailedError
-			if errors.As(err, &rf) {
-				dead = append(dead, rf.Ranks...)
-				continue
+			if !errors.As(err, &rf) {
+				win.expose[slot] = win.expose[slot][:0]
+				return err
 			}
-			win.expose[slot] = win.expose[slot][:0]
-			return err
+			dead = append(dead, rf.Ranks...)
 		}
-		stamps = append(stamps, doneStamp{oslot: win.g.slot[o], epoch: p.(int64)})
 	}
 	win.expose[slot] = win.expose[slot][:0]
-	if dead != nil {
-		return &RankFailedError{Op: "win-wait", Ranks: dead}
+	if dead == nil {
+		c.settle(win, slot, false)
 	}
 	ts := &win.slots[slot]
 	ts.mu.Lock()
-	drain := extractDeposits(ts, func(d *deposit) bool {
-		if !d.pscw || d.get {
-			return false
-		}
-		for _, st := range stamps {
-			if d.originSlot == st.oslot && d.epoch == st.epoch {
-				return true
-			}
-		}
-		return false
-	})
+	ts.epoch++
 	ts.mu.Unlock()
-	sortDeposits(drain)
-	bytes, stall, hidden := c.settleDeposits(drain)
-	ts.drain = drain
-	if len(drain) > 0 {
-		c.emitRMA("pscw", win.id, len(drain), bytes, stall, hidden)
+	if dead != nil {
+		return &RankFailedError{Op: "win-wait", Ranks: dead}
 	}
 	return nil
 }
 
 // PendingPSCW reports the total elements Put into this rank's window slot
-// by origin under PSCW stamping, any epoch, and whether any such deposit
-// is present. It is the PSCW analogue of PendingFrom, meaningful after
-// WinWaitErr returned a *RankFailedError naming origin: with the
-// close-then-open discipline at most one pairwise epoch is in flight per
-// pair, so an epoch-agnostic count answers deterministically whether the
-// dead origin's transfer landed in full.
+// by origin, any epoch, and whether any such deposit is present. It is
+// meaningful after WinWaitErr returned a *RankFailedError naming origin:
+// a crashed rank's Puts completed before its death was published (same
+// goroutine) — a Put either ran to completion or never started, because
+// crashes fire at operation entry — and a failed wait settles nothing, so
+// the count answers deterministically whether the dead origin's transfer
+// landed in full.
 func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
 	oslot, member := win.g.slot[origin]
 	if !member {
@@ -698,33 +592,7 @@ func (c *Comm) PendingPSCW(win *Win, origin int) (elems int, ok bool) {
 	ts := &win.slots[slot]
 	ts.mu.Lock()
 	for i := range ts.dep {
-		if d := &ts.dep[i]; d.originSlot == oslot && d.pscw && !d.get {
-			elems += d.elems
-			ok = true
-		}
-	}
-	ts.mu.Unlock()
-	return elems, ok
-}
-
-// PendingFrom reports the total elements deposited into this rank's window
-// slot by origin during the still-open epoch, and whether any deposit is
-// present. It is meaningful after FenceErr returned a *RankFailedError and
-// origin is dead: a crashed rank's Puts completed before its death was
-// published (same goroutine), so presence answers deterministically
-// whether the dead origin's transfer landed in full — a Put either ran to
-// completion or never started (crashes fire at operation entry).
-func (c *Comm) PendingFrom(win *Win, origin int) (elems int, ok bool) {
-	oslot, member := win.g.slot[origin]
-	if !member {
-		return 0, false
-	}
-	slot := c.groupSlot(win.g)
-	ep := win.epoch[slot]
-	ts := &win.slots[slot]
-	ts.mu.Lock()
-	for i := range ts.dep {
-		if d := &ts.dep[i]; d.originSlot == oslot && d.epoch == ep && !d.get && !d.pscw {
+		if d := &ts.dep[i]; d.originSlot == oslot && !d.get {
 			elems += d.elems
 			ok = true
 		}
@@ -734,16 +602,14 @@ func (c *Comm) PendingFrom(win *Win, origin int) (elems int, ok bool) {
 }
 
 // DiscardPending drops every deposit pending against this rank's window
-// slot, releasing it after a failed fence (the epoch can no longer settle:
-// the group lost a member and the window is being abandoned). Without the
-// discard the deposits would count as leaked operations.
+// slot, releasing it after a failed wait or complete (the epoch can no
+// longer settle: a peer died and the window is being abandoned). Without
+// the discard the deposits would count as leaked operations.
 func (c *Comm) DiscardPending(win *Win) {
 	slot := c.groupSlot(win.g)
 	ts := &win.slots[slot]
 	ts.mu.Lock()
-	for i := range ts.dep {
-		ts.dep[i] = deposit{}
-	}
+	clear(ts.dep)
 	ts.dep = ts.dep[:0]
 	ts.mu.Unlock()
 }
@@ -758,9 +624,7 @@ func (g *Group) dropWindowSlot(slot int) {
 	for _, win := range wins {
 		ts := &win.slots[slot]
 		ts.mu.Lock()
-		for i := range ts.dep {
-			ts.dep[i] = deposit{}
-		}
+		clear(ts.dep)
 		ts.dep = ts.dep[:0]
 		ts.mu.Unlock()
 	}

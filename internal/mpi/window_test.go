@@ -1,398 +1,73 @@
 package mpi
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fault"
 	"repro/internal/vclock"
 )
 
-// This file validates the one-sided layer (window.go) the same way the
-// collective cost model is validated: against per-message Send/Recv
-// simulation of the identical traffic, exactly — plus the failure-at-fence
-// suite (a dead member resolves to RankFailedError, never a hang, and no
-// deposit is ever leaked).
+// This file pins the one-sided layer's settlement arithmetic and its
+// teardown contract. The per-message Send/Recv mirrors of whole PSCW
+// epochs and the pairwise failure suite live in pscw_test.go.
 
-// ringPutFence runs an n-rank world where every rank Puts bytes into its
-// successor's window and closes the epoch with a fence, and returns each
-// rank's final virtual time and receive stall.
-func ringPutFence(t *testing.T, n, bytes int, net cluster.NetParams) ([]vclock.Time, []vclock.Duration) {
-	t.Helper()
-	spec := cluster.Uniform(n)
-	spec.Net = net
-	finish := make([]vclock.Time, n)
-	stall := make([]vclock.Duration, n)
-	w := NewWorld(cluster.New(spec))
-	if err := w.Run(func(c *Comm) error {
-		g := c.World().AllGroup()
-		win := c.WinCreate(g, make(FlatMem, bytes/8))
-		c.Fence(win) // open the access epoch
-		src := make([]float64, bytes/8)
-		for i := range src {
-			src[i] = float64(c.Rank()*1000 + i)
-		}
-		c.Put(win, (c.Rank()+1)%n, 0, src)
-		c.Fence(win) // close: the owner settles its predecessor's deposit
-		finish[c.Rank()] = c.Now()
-		stall[c.Rank()] = c.RecvStall
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if leaked := w.LeakedOps(); leaked != 0 {
-		t.Fatalf("leaked %d ops after clean put/fence run", leaked)
-	}
-	return finish, stall
-}
-
-// ringSendRecv mirrors ringPutFence with paired point-to-point traffic and
-// the same synchronisation structure: barrier, send to successor, barrier,
-// receive from predecessor.
-func ringSendRecv(t *testing.T, n, bytes int, net cluster.NetParams) ([]vclock.Time, []vclock.Duration) {
-	t.Helper()
-	spec := cluster.Uniform(n)
-	spec.Net = net
-	finish := make([]vclock.Time, n)
-	stall := make([]vclock.Duration, n)
-	if err := Run(cluster.New(spec), func(c *Comm) error {
-		g := c.World().AllGroup()
-		c.Barrier(g)
-		c.Send((c.Rank()+1)%n, 7, nil, bytes)
-		c.Barrier(g)
-		c.Recv((c.Rank()-1+n)%n, 7)
-		finish[c.Rank()] = c.Now()
-		stall[c.Rank()] = c.RecvStall
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return finish, stall
-}
-
-// TestPutFenceMatchesSendRecvOnWire pins the tentpole's pricing contract on
-// a CPU-free interconnect: a Put/Fence epoch must land every rank at
-// *exactly* the virtual time of the equivalent barrier-framed Send/Recv
-// exchange — the fence synchronisation is a dissemination barrier and the
-// deposit settlement is a receive-side Wait, so with CPU zeroed the two
-// formulations are indistinguishable, rank by rank.
-func TestPutFenceMatchesSendRecvOnWire(t *testing.T) {
-	net := wireNet()
-	for _, n := range []int{2, 4, 8} {
-		for _, bytes := range []int{8, 4096} {
-			rmaT, rmaS := ringPutFence(t, n, bytes, net)
-			p2pT, p2pS := ringSendRecv(t, n, bytes, net)
-			for r := 0; r < n; r++ {
-				if rmaT[r] != p2pT[r] {
-					t.Errorf("n=%d bytes=%d rank %d: put/fence finish %v, send/recv %v",
-						n, bytes, r, rmaT[r], p2pT[r])
-				}
-				if rmaS[r] != p2pS[r] {
-					t.Errorf("n=%d bytes=%d rank %d: put/fence stall %v, send/recv %v",
-						n, bytes, r, rmaS[r], p2pS[r])
-				}
-			}
-		}
-	}
-}
-
-// TestPutFenceSavesExactRecvCPU pins the modelled saving on the default
-// (CPU-charging) interconnect: the Put target's timeline is *exactly* one
-// receive-side cpuCost(bytes) shorter than the paired send/recv target's —
-// nothing else about the two timelines differs (deposit arrival stamps and
-// residual stall are identical by construction).
-func TestPutFenceSavesExactRecvCPU(t *testing.T) {
-	net := cluster.DefaultNet()
-	for _, n := range []int{2, 4, 8} {
-		for _, bytes := range []int{8, 4096} {
-			rmaT, rmaS := ringPutFence(t, n, bytes, net)
-			p2pT, p2pS := ringSendRecv(t, n, bytes, net)
-			saved := cpuCost(net, bytes)
-			for r := 0; r < n; r++ {
-				if got := p2pT[r].Sub(rmaT[r]); got != saved {
-					t.Errorf("n=%d bytes=%d rank %d: put/fence saves %v, want exactly cpuCost=%v",
-						n, bytes, r, got, saved)
-				}
-				if rmaS[r] != p2pS[r] {
-					t.Errorf("n=%d bytes=%d rank %d: stall diverged: rma %v, p2p %v",
-						n, bytes, r, rmaS[r], p2pS[r])
-				}
-			}
-		}
-	}
-}
-
-// TestGetFenceMatchesRequestResponseSim validates Get's arrival model — one
-// latency for the zero-byte request to reach the target plus the payload's
-// wire time back — against a per-message request/response simulation on the
-// CPU-free interconnect.
-func TestGetFenceMatchesRequestResponseSim(t *testing.T) {
-	net := wireNet()
-	const elems = 4096 // large payload so arrival, not the fence, dominates
-	bytes := F64Bytes(elems)
-
-	// One-sided: rank 0 Gets from rank 1 and closes the epoch.
-	var rmaFinish vclock.Time
-	spec := cluster.Uniform(2)
-	spec.Net = net
-	w := NewWorld(cluster.New(spec))
-	if err := w.Run(func(c *Comm) error {
-		g := c.World().AllGroup()
-		mem := make(FlatMem, elems)
-		for i := range mem {
-			mem[i] = float64(c.Rank()*10 + i)
-		}
-		win := c.WinCreate(g, mem)
-		c.Fence(win)
-		dst := make([]float64, elems)
-		if c.Rank() == 0 {
-			c.Get(win, 1, 0, dst)
-		}
-		c.Fence(win)
-		if c.Rank() == 0 {
-			rmaFinish = c.Now()
-			for i := range dst {
-				if dst[i] != float64(10+i) {
-					t.Errorf("get element %d = %v, want %v", i, dst[i], float64(10+i))
-					break
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if leaked := w.LeakedOps(); leaked != 0 {
-		t.Fatalf("leaked %d ops after get/fence run", leaked)
-	}
-
-	// Per-message mirror: a zero-byte request, a passive responder that
-	// forwards at the wire level (zero CPU), and the payload coming back.
-	var simFinish vclock.Time
-	spec2 := cluster.Uniform(2)
-	spec2.Net = net
-	if err := Run(cluster.New(spec2), func(c *Comm) error {
-		g := c.World().AllGroup()
-		c.Barrier(g)
-		if c.Rank() == 0 {
-			c.Send(1, 1, nil, 0)
-			c.Recv(1, 2)
-			simFinish = c.Now()
-		} else {
-			c.Recv(0, 1)
-			c.Send(0, 2, nil, bytes)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rmaFinish != simFinish {
-		t.Errorf("get/fence origin finishes at %v, request/response sim at %v", rmaFinish, simFinish)
-	}
-}
-
-// TestFenceHiddenWireMatchesClosedForm pins the fence's stall/credit
+// TestPSCWHiddenWireMatchesClosedForm pins the wait's stall/credit
 // arithmetic against the nbRecvStall closed form: with the owner computing
-// W between the origin's Put and the epoch-closing fence, the residual
-// stall is nbRecvStall(bytes, W + fenceWire) and the hidden credit is the
-// wire time minus that stall.
-func TestFenceHiddenWireMatchesClosedForm(t *testing.T) {
-	net := wireNet() // zero CPU keeps both ranks' deposit stamps aligned
+// W after its post, the completion notification reaches it at 2·wire(8)
+// (post, then complete, each one 8-byte control message on a CPU-free
+// interconnect), so the owner drains the deposit at max(W, 2·wire(8)),
+// its residual stall is nbRecvStall(bytes, that clock − the Put's post) and
+// the hidden credit is the wire time minus that stall.
+func TestPSCWHiddenWireMatchesClosedForm(t *testing.T) {
+	net := wireNet() // zero CPU keeps every stamp on the wire-time grid
 	const elems = 2048
 	bytes := F64Bytes(elems)
 	for _, overlapS := range []float64{1e-6, 1.0} { // partial and full hiding
 		var stall, hidden vclock.Duration
 		spec := cluster.Uniform(2)
 		spec.Net = net
-		if err := Run(cluster.New(spec), func(c *Comm) error {
+		w := NewWorld(cluster.New(spec))
+		if err := w.Run(func(c *Comm) error {
 			g := c.World().AllGroup()
 			win := c.WinCreate(g, make(FlatMem, elems))
-			c.Fence(win)
 			if c.Rank() == 0 {
+				c.WinStart(win, []int{1})
 				c.Put(win, 1, 0, make([]float64, elems))
-			} else {
-				c.Node().Compute(vclock.FromSeconds(overlapS))
+				c.WinComplete(win)
+				return nil
 			}
-			c.Fence(win)
-			if c.Rank() == 1 {
-				stall, hidden = c.RecvStall, c.HiddenWire
-			}
+			c.WinPost(win, []int{0})
+			c.Node().Compute(vclock.FromSeconds(overlapS))
+			c.WinWait(win)
+			stall, hidden = c.RecvStall, c.HiddenWire
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		// The owner reaches the settlement fenceWire after its own fence
-		// deposit (the origin deposited earlier — zero CPU, so its Put and
-		// fence arrival happen at the epoch-open time).
-		fenceWire := barrierCost(net, 2).wire
-		wantStall := nbRecvStall(net, bytes, vclock.FromSeconds(overlapS)+fenceWire)
-		if stall != wantStall {
-			t.Errorf("overlap %vs: fence stall %v, closed form %v", overlapS, stall, wantStall)
+		if leaked := w.LeakedOps(); leaked != 0 {
+			t.Fatalf("leaked %d ops", leaked)
 		}
-		if want := wireTime(net, bytes) - wantStall; hidden != want {
+		ctl := wireTime(net, pscwCtlBytes)
+		work := vclock.FromSeconds(overlapS)
+		settle, ctlStall := work, vclock.Duration(0)
+		if 2*ctl > work {
+			settle, ctlStall = 2*ctl, 2*ctl-work
+		}
+		depStall := nbRecvStall(net, bytes, settle-ctl) // the Put posted at ctl
+		if want := ctlStall + depStall; stall != want {
+			t.Errorf("overlap %vs: wait stall %v, closed form %v (control %v + deposit %v)",
+				overlapS, stall, want, ctlStall, depStall)
+		}
+		if want := wireTime(net, bytes) - depStall; hidden != want {
 			t.Errorf("overlap %vs: hidden credit %v, want %v", overlapS, hidden, want)
 		}
 	}
 }
 
-// TestFenceDrainDeterministic pins the settlement order contract: many
-// origins with different payload sizes deposit into one owner, and the
-// owner's final clock, stall, and traffic counters must be bit-identical
-// across repeated runs regardless of physical scheduling.
-func TestFenceDrainDeterministic(t *testing.T) {
-	const n = 8
-	run := func() (vclock.Time, vclock.Duration, int64) {
-		var finish vclock.Time
-		var stall vclock.Duration
-		var bytes int64
-		spec := cluster.Uniform(n)
-		if err := Run(cluster.New(spec), func(c *Comm) error {
-			g := c.World().AllGroup()
-			win := c.WinCreate(g, make(FlatMem, 64*n))
-			c.Fence(win)
-			if c.Rank() != 0 {
-				// Uneven payloads at uneven offsets, all into rank 0.
-				src := make([]float64, 8*c.Rank())
-				c.Put(win, 0, 64*(c.Rank()-1), src[:4])
-				c.Put(win, 0, 64*(c.Rank()-1)+4, src)
-			}
-			c.Fence(win)
-			if c.Rank() == 0 {
-				finish, stall, bytes = c.Now(), c.RecvStall, c.RecvBytes
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return finish, stall, bytes
-	}
-	f0, s0, b0 := run()
-	for i := 0; i < 4; i++ {
-		f, s, b := run()
-		if f != f0 || s != s0 || b != b0 {
-			t.Fatalf("run %d diverged: finish %v/%v stall %v/%v bytes %d/%d", i, f, f0, s, s0, b, b0)
-		}
-	}
-}
-
-// TestFenceCrashTargetBeforeDeposit is the failure-at-fence suite's "dead
-// rank never deposited" case: rank 2 crashes at a cycle boundary before
-// issuing that epoch's Put. Survivors' fences resolve to RankFailedError
-// (never a hang), a Put aimed at the dead target deposits nothing, the
-// owner expecting the dead origin's data sees no pending deposit, and
-// after the discard protocol nothing is leaked.
-func TestFenceCrashTargetBeforeDeposit(t *testing.T) {
-	const n = 3
-	spec := cluster.Uniform(n)
-	spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 1)}
-	w := NewWorld(cluster.New(spec))
-	sawError := make([]bool, n)
-	if err := w.Run(func(c *Comm) error {
-		g := c.World().AllGroup()
-		win := c.WinCreate(g, make(FlatMem, 8))
-		if err := c.FenceErr(win); err != nil {
-			t.Errorf("rank %d: opening fence failed: %v", c.Rank(), err)
-			return nil
-		}
-		src := []float64{float64(c.Rank())}
-		for cycle := 0; cycle < 3; cycle++ {
-			c.InjectCycleFaults(cycle) // rank 2 dies entering cycle 1
-			c.Put(win, (c.Rank()+1)%n, 0, src)
-			if err := c.FenceErr(win); err != nil {
-				var rf *RankFailedError
-				if !errors.As(err, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != 2 {
-					t.Errorf("rank %d: want RankFailedError{2}, got %v", c.Rank(), err)
-				}
-				sawError[c.Rank()] = true
-				// Rank 0's expected origin is the dead rank 2, which never
-				// deposited this epoch: presence must answer false.
-				if c.Rank() == 0 {
-					if elems, ok := c.PendingFrom(win, 2); ok {
-						t.Errorf("rank 0: dead rank 2 shows %d pending elems, want none", elems)
-					}
-				}
-				c.DiscardPending(win)
-				return nil
-			}
-		}
-		t.Errorf("rank %d: fence never reported the crash", c.Rank())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sawError[0] || !sawError[1] {
-		t.Errorf("survivors did not all observe the failure: %v", sawError)
-	}
-	if leaked := w.LeakedOps(); leaked != 0 {
-		t.Fatalf("leaked %d ops after crash-before-deposit run", leaked)
-	}
-}
-
-// TestFenceCrashOriginAfterDeposit is the "origin dies mid-epoch, after its
-// Put landed" case, in the deferred-epoch shape the replica-refresh
-// consumer uses (fence at cycle entry closes the previous cycle's epoch):
-// rank 2 Puts in cycle 1 and crashes entering cycle 2, so the epoch being
-// closed holds its completed deposit. The owner must see it — presence is
-// deterministic because a crashed rank's Puts completed on its own
-// goroutine before the death published — and the deposited data must be
-// intact in the window memory.
-func TestFenceCrashOriginAfterDeposit(t *testing.T) {
-	const n = 3
-	spec := cluster.Uniform(n)
-	spec.Faults = []fault.Fault{fault.CrashAtCycle(2, 2)}
-	w := NewWorld(cluster.New(spec))
-	recovered := false
-	if err := w.Run(func(c *Comm) error {
-		g := c.World().AllGroup()
-		mem := make(FlatMem, 4)
-		win := c.WinCreate(g, mem)
-		for cycle := 0; cycle < 4; cycle++ {
-			c.InjectCycleFaults(cycle) // rank 2 dies entering cycle 2
-			// Close the previous epoch (deferred settlement).
-			if err := c.FenceErr(win); err != nil {
-				var rf *RankFailedError
-				if !errors.As(err, &rf) {
-					t.Errorf("rank %d: want RankFailedError, got %v", c.Rank(), err)
-				}
-				if c.Rank() == 0 {
-					// The dead predecessor's cycle-1 Put is pending in full.
-					elems, ok := c.PendingFrom(win, 2)
-					if !ok || elems != 4 {
-						t.Errorf("rank 0: pending from dead rank 2 = (%d,%v), want (4,true)", elems, ok)
-					}
-					for i := range mem {
-						if want := float64(2*100 + 1*10 + i); mem[i] != want {
-							t.Errorf("rank 0: window mem[%d] = %v, want %v (rank 2's cycle-1 put)", i, mem[i], want)
-						}
-					}
-					recovered = true
-				}
-				c.DiscardPending(win)
-				return nil
-			}
-			src := make([]float64, 4)
-			for i := range src {
-				src[i] = float64(c.Rank()*100 + cycle*10 + i)
-			}
-			c.Put(win, (c.Rank()+1)%n, 0, src)
-		}
-		t.Errorf("rank %d: fence never reported the crash", c.Rank())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !recovered {
-		t.Error("rank 0 never inspected the dead origin's pending deposit")
-	}
-	if leaked := w.LeakedOps(); leaked != 0 {
-		t.Fatalf("leaked %d ops after crash-after-deposit run", leaked)
-	}
-}
-
-// TestWindowTeardownNoLeakedDeposits drives several epochs, a reattach, and
-// a Get through two windows on the same group and asserts the world tears
-// down with zero pending deposits — the LeakedOps contract for windows.
+// TestWindowTeardownNoLeakedDeposits drives several pairwise epochs, a
+// reattach, and Gets through two windows on the same group and asserts the
+// world tears down with zero pending deposits — the LeakedOps contract for
+// windows.
 func TestWindowTeardownNoLeakedDeposits(t *testing.T) {
 	const n = 4
 	spec := cluster.Uniform(n)
@@ -404,18 +79,26 @@ func TestWindowTeardownNoLeakedDeposits(t *testing.T) {
 		if a.ID() == b.ID() {
 			t.Errorf("rank %d: expected distinct window ids, got %d/%d", c.Rank(), a.ID(), b.ID())
 		}
-		c.Fence(a)
-		c.Fence(b)
+		r := c.Rank()
+		prev, next, across := (r-1+n)%n, (r+1)%n, (r+2)%n
 		for cycle := 0; cycle < 3; cycle++ {
-			c.Put(a, (c.Rank()+1)%n, 8*c.Rank(), []float64{1, 2})
-			c.Get(b, (c.Rank()+2)%n, 0, make([]float64, 4))
-			c.Fence(a)
-			c.Fence(b)
+			c.WinPost(a, []int{prev})
+			c.WinPost(b, []int{across})
+			c.WinStart(a, []int{next})
+			c.Put(a, next, 8*r, []float64{1, 2})
+			c.WinComplete(a)
+			c.WinStart(b, []int{across})
+			c.Get(b, across, 0, make([]float64, 4))
+			c.WinComplete(b)
+			c.WinWait(a)
+			c.WinWait(b)
 		}
 		c.WinAttach(a, make(FlatMem, 64)) // grow the exposed slab
-		c.Fence(a)
-		c.Put(a, (c.Rank()+1)%n, 40, []float64{3})
-		c.Fence(a)
+		c.WinPost(a, []int{prev})
+		c.WinStart(a, []int{next})
+		c.Put(a, next, 40, []float64{3})
+		c.WinComplete(a)
+		c.WinWait(a)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -185,21 +185,21 @@ type CollectiveRecord struct {
 	Bytes     int64  `json:"bytes"`     // payload bytes offered across members and ops
 }
 
-// RMARecord describes one closed one-sided epoch from the window owner's
-// perspective: the fence that closed it, how many deposits landed in the
-// owner's window during the epoch, their total wire bytes, the residual
-// wire stall the owner paid at the fence, and the wire time that was hidden
-// behind the owner's computation since the deposits were posted. Only
-// emitted for epochs (successful fences), never per Put — the origin side
-// of a Put is indistinguishable from a send and is already counted by the
-// traffic counters.
+// RMARecord describes one closed one-sided epoch from the settling rank's
+// perspective: the synchronisation that closed it, how many deposits it
+// settled, their total wire bytes, the residual wire stall paid settling
+// them, and the wire time that was hidden behind computation since the
+// deposits were posted. Only emitted for epochs that settled deposits (a
+// successful wait, or a complete that settled Get landings), never per Put
+// — the origin side of a Put is indistinguishable from a send and is
+// already counted by the traffic counters.
 type RMARecord struct {
 	Base
-	Op       string  `json:"op"`       // "fence"
+	Op       string  `json:"op"`       // "pscw"
 	Window   int     `json:"window"`   // window id within its group
-	Deposits int     `json:"deposits"` // puts/gets settled by this fence
+	Deposits int     `json:"deposits"` // puts/gets settled by this epoch
 	Bytes    int64   `json:"bytes"`    // wire bytes of those deposits
-	StallS   float64 `json:"stall_s"`  // residual wire stall paid at the fence
+	StallS   float64 `json:"stall_s"`  // residual wire stall paid at settlement
 	HiddenS  float64 `json:"hidden_s"` // wire time hidden behind computation
 }
 
