@@ -415,6 +415,25 @@ func BenchmarkSparsePackUnpack(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseRowRewrite is the particle step's row rewrite: a warm
+// ClearRow followed by 256 Appends, which reuse the cleared row's elements
+// and allocate nothing.
+func BenchmarkSparseRowRewrite(b *testing.B) {
+	b.ReportAllocs()
+	s := matrix.NewSparse("S", 1, nil)
+	s.SetWindow(0, 1)
+	for k := 0; k < 256; k++ {
+		s.Append(0, int32(k), float64(k))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ClearRow(0)
+		for k := 0; k < 256; k++ {
+			s.Append(0, int32(k), float64(k))
+		}
+	}
+}
+
 func BenchmarkNodeCompute(b *testing.B) {
 	b.ReportAllocs()
 	spec := cluster.Uniform(1).With(cluster.TimeEvent(0, 0, +1))

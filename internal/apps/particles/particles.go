@@ -75,6 +75,20 @@ type particle struct {
 	x, y, vx, vy float64
 }
 
+// move is a particle bound for another row of the same rank.
+type move struct {
+	g  int
+	pt particle
+}
+
+// scratch is one rank's step buffers, reused across steps so the steady
+// state allocates nothing. Emigrant slices are not kept here: they are
+// message payloads the neighbour reads after the sender has moved on.
+type scratch struct {
+	row   []particle
+	local []move
+}
+
 // Run executes the particle simulation and returns the result. CheckInt is
 // an order-independent integer checksum of the final particle states.
 func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
@@ -86,19 +100,29 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 		ph.AddAccess("P", drsd.ReadWrite, 1, 0)
 		rt.Commit()
 
-		lo, hi := ph.Bounds()
-		seedParticles(ps, cfg, c.Size(), lo, hi)
+		start := 0
+		if rt.Joined() {
+			// A mid-run joiner: its rows (particles included) arrived in the
+			// admission redistribution Commit just ran, so seeding must not
+			// add to them, and the step loop starts at the cycle the world
+			// is on.
+			start = rt.Cycle()
+		} else {
+			lo, hi := ph.Bounds()
+			seedParticles(ps, cfg, c.Size(), lo, hi)
+		}
 
-		for t := 0; t < cfg.Steps; t++ {
+		var sc scratch
+		for t := start; t < cfg.Steps; t++ {
 			if rt.BeginCycle() {
-				stepOnce(rt, ps, cfg)
+				stepOnce(rt, ps, cfg, &sc)
 			}
 			rt.EndCycle()
 		}
 
 		var check float64
 		if rt.Participating() {
-			lo, hi = ph.Bounds()
+			lo, hi := ph.Bounds()
 			check = rt.AllreduceSum(localChecksum(ps, lo, hi))
 		} else {
 			check = rt.AllreduceSum(0)
@@ -153,9 +177,8 @@ func appendParticle(ps *matrix.Sparse, g int, pt particle) {
 	ps.Append(g, pt.pid, pt.vy)
 }
 
-// readRow decodes a row's particles (groups of four elements).
-func readRow(ps *matrix.Sparse, g int) []particle {
-	var out []particle
+// readRow appends row g's particles (groups of four elements) to out.
+func readRow(out []particle, ps *matrix.Sparse, g int) []particle {
 	e := ps.RowHead(g)
 	for e != nil {
 		pt := particle{pid: e.Col, x: e.Val}
@@ -197,21 +220,19 @@ func integrate(pt particle, cfg Config) particle {
 // that cross row boundaries: local moves are reinserted directly; emigrants
 // travel to the owners of the adjacent rows (one exchange per neighbour per
 // step, possibly empty — both sides derive the pairing from the current
-// distribution, so matching is deterministic).
-func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config) {
+// distribution, so matching is deterministic). sc holds the rank's reused
+// buffers.
+func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 	me := rt.Comm().Rank()
 	lo, hi := rt.Dist().RangeOf(me)
 	if lo >= hi {
 		return
 	}
 	var emUp, emDown []particle
-	type move struct {
-		g  int
-		pt particle
-	}
-	var local []move
+	local := sc.local[:0]
 	for g := lo; g < hi; g++ {
-		pts := readRow(ps, g)
+		sc.row = readRow(sc.row[:0], ps, g)
+		pts := sc.row
 		ps.ClearRow(g)
 		for _, pt := range pts {
 			pt = integrate(pt, cfg)
@@ -232,6 +253,7 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config) {
 	for _, m := range local {
 		appendParticle(ps, m.g, m.pt)
 	}
+	sc.local = local
 	// Exchange emigrants with the adjacent block owners.
 	comm := rt.Comm()
 	up, down := -1, -1
@@ -283,8 +305,10 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config) {
 // up to ~2^53 total).
 func localChecksum(ps *matrix.Sparse, lo, hi int) float64 {
 	var sum int64
+	var pts []particle
 	for g := lo; g < hi; g++ {
-		for _, pt := range readRow(ps, g) {
+		pts = readRow(pts[:0], ps, g)
+		for _, pt := range pts {
 			h := uint64(pt.pid) * 2654435761
 			h ^= math.Float64bits(pt.x) * 31
 			h ^= math.Float64bits(pt.y) * 37

@@ -48,7 +48,7 @@ func TestParticleRowEncodingRoundTrip(t *testing.T) {
 	for _, pt := range in {
 		appendParticle(s, 0, pt)
 	}
-	out := readRow(s, 0)
+	out := readRow(nil, s, 0)
 	if len(out) != 2 {
 		t.Fatalf("decoded %d particles", len(out))
 	}
@@ -61,7 +61,7 @@ func TestParticleRowEncodingRoundTrip(t *testing.T) {
 	d := matrix.NewSparse("D", 4, nil)
 	d.SetWindow(0, 4)
 	d.UnpackRow(0, s.PackRow(0))
-	out = readRow(d, 0)
+	out = readRow(nil, d, 0)
 	if len(out) != 2 || out[1] != in[1] {
 		t.Fatal("particles corrupted by pack/unpack")
 	}
@@ -82,9 +82,10 @@ func TestConservationEveryStep(t *testing.T) {
 		lo, hi := ph.Bounds()
 		seedParticles(ps, cfg, c.Size(), lo, hi)
 		want := rt.AllreduceSum(float64(Census(ps, lo, hi)))
+		var sc scratch
 		for step := 0; step < cfg.Steps; step++ {
 			rt.BeginCycle()
-			stepOnce(rt, ps, cfg)
+			stepOnce(rt, ps, cfg, &sc)
 			rt.EndCycle()
 			got := rt.AllreduceSum(float64(Census(ps, lo, hi)))
 			if got != want {
@@ -228,5 +229,31 @@ func TestChecksumSensitivity(t *testing.T) {
 	c2 := localChecksum(s, 0, 1)
 	if c1 == c2 {
 		t.Fatal("checksum insensitive to state changes")
+	}
+}
+
+// TestWarmRowRewriteAllocatesNothing pins the steady-state step's row
+// rewrite: decoding into the reused buffer, clearing the row and appending
+// its particles back reuses the row's own elements.
+func TestWarmRowRewriteAllocatesNothing(t *testing.T) {
+	s := matrix.NewSparse("P", 1, nil)
+	s.SetWindow(0, 1)
+	for pid := int32(0); pid < 64; pid++ {
+		appendParticle(s, 0, particle{pid: pid, x: float64(pid), y: 0.5, vx: 1, vy: -1})
+	}
+	var buf []particle
+	rewrite := func() {
+		buf = readRow(buf[:0], s, 0)
+		s.ClearRow(0)
+		for _, pt := range buf {
+			appendParticle(s, 0, pt)
+		}
+	}
+	rewrite()
+	if allocs := testing.AllocsPerRun(100, rewrite); allocs != 0 {
+		t.Fatalf("warm row rewrite allocates %v", allocs)
+	}
+	if Census(s, 0, 1) != 64 {
+		t.Fatalf("rewrite lost particles: %d left", Census(s, 0, 1))
 	}
 }

@@ -4,6 +4,10 @@ import "fmt"
 
 // Elem is one stored element of a sparse row: a (column id, value) pair in
 // a singly linked list, exactly the paper's vector-of-lists format.
+//
+// ClearRow, UnpackRow and UnpackRows recycle a row's elements into later
+// Appends and unpacks, so an *Elem into a cleared or replaced row is
+// invalid afterwards, as after free() in the paper's C lists.
 type Elem struct {
 	Col  int32
 	Val  float64
@@ -17,6 +21,17 @@ func (e *Elem) Next() *Elem { return e.next }
 type sparseRow struct {
 	head, tail *Elem
 	n          int
+}
+
+// push links e at the end of the row.
+func (r *sparseRow) push(e *Elem) {
+	if r.tail == nil {
+		r.head = e
+	} else {
+		r.tail.next = e
+	}
+	r.tail = e
+	r.n++
 }
 
 // elemWireBytes is the modelled wire/memory footprint of one packed sparse
@@ -34,6 +49,11 @@ type Sparse struct {
 
 	lo, hi int
 	rows   []*sparseRow
+
+	// free chains the elements of cleared and replaced rows through next,
+	// for reuse by Append and the unpacks. Rows SetWindow drops are left
+	// to the garbage collector instead.
+	free *Elem
 }
 
 // NewSparse creates an empty sparse matrix descriptor; call SetWindow to
@@ -66,7 +86,8 @@ func (s *Sparse) row(g int) *sparseRow {
 
 // SetWindow resizes the resident window to [lo,hi), retaining overlapping
 // rows. Like the dense Projection scheme, only the top-level vector is
-// copied; list nodes of retained rows are reused in place.
+// copied; list nodes of retained rows are reused in place. Dropped rows are
+// not recycled: their elements go to the garbage collector.
 func (s *Sparse) SetWindow(lo, hi int) {
 	if lo < 0 || hi > s.GlobalRows || lo > hi {
 		panic(fmt.Sprintf("matrix: %s bad window [%d,%d) of %d", s.Name, lo, hi, s.GlobalRows))
@@ -92,17 +113,32 @@ func (s *Sparse) SetWindow(lo, hi int) {
 	s.lo, s.hi, s.rows = lo, hi, newRows
 }
 
+// newElem returns a (col, val) element, recycled when the free list has
+// one.
+func (s *Sparse) newElem(col int32, val float64) *Elem {
+	e := s.free
+	if e == nil {
+		return &Elem{Col: col, Val: val}
+	}
+	s.free = e.next
+	e.Col, e.Val, e.next = col, val, nil
+	return e
+}
+
+// recycle splices row r's whole chain onto the free list in O(1) and
+// empties the row.
+func (s *Sparse) recycle(r *sparseRow) {
+	if r.head != nil {
+		r.tail.next = s.free
+		s.free = r.head
+	}
+	r.head, r.tail, r.n = nil, nil, 0
+}
+
 // Append adds (col, val) at the end of global row g.
 func (s *Sparse) Append(g int, col int32, val float64) {
 	r := s.row(g)
-	e := &Elem{Col: col, Val: val}
-	if r.tail == nil {
-		r.head, r.tail = e, e
-	} else {
-		r.tail.next = e
-		r.tail = e
-	}
-	r.n++
+	r.push(s.newElem(col, val))
 	if s.sink != nil {
 		s.sink.AdjustResident(elemWireBytes)
 		s.sink.ChargeTouch(elemWireBytes)
@@ -113,7 +149,8 @@ func (s *Sparse) Append(g int, col int32, val float64) {
 func (s *Sparse) RowLen(g int) int { return s.row(g).n }
 
 // RowHead returns the first element of global row g (nil if empty), for
-// direct traversal when the iterator API is unnecessarily heavy.
+// direct traversal when the iterator API is unnecessarily heavy. The chain
+// is valid until the row is cleared or replaced (see Elem).
 func (s *Sparse) RowHead(g int) *Elem { return s.row(g).head }
 
 // NNZ reports the number of stored elements in the resident window.
@@ -135,7 +172,9 @@ func (s *Sparse) RowWireBytes(g int) int { return 8 + elemWireBytes*s.RowLen(g) 
 // Iter walks a sparse matrix element by element with explicit row control:
 // "an iterator to access each element of a sparse matrix as well as
 // functions to get the next element, set the next element, advance the row,
-// and move to the first element."
+// and move to the first element." ClearRow, UnpackRow and UnpackRows
+// recycle the row's elements, so an Iter positioned in a cleared or
+// replaced row is invalid afterwards (see Elem).
 type Iter struct {
 	s   *Sparse
 	g   int
@@ -226,7 +265,8 @@ func (s *Sparse) PackRow(g int) PackedRow {
 
 // UnpackRow replaces global row g with the packed data, rebuilding the
 // linked list ("the row must be unpacked on receipt and converted to a
-// list") and charging the conversion cost.
+// list") and charging the conversion cost. The row's old elements are
+// recycled.
 func (s *Sparse) UnpackRow(g int, p PackedRow) {
 	if len(p.Cols) != len(p.Vals) {
 		panic("matrix: ragged PackedRow")
@@ -236,16 +276,9 @@ func (s *Sparse) UnpackRow(g int, p PackedRow) {
 		s.sink.AdjustResident(int64(elemWireBytes * (len(p.Vals) - r.n)))
 		s.sink.ChargeTouch(int64(elemWireBytes * len(p.Vals)))
 	}
-	r.head, r.tail, r.n = nil, nil, 0
+	s.recycle(r)
 	for i := range p.Vals {
-		e := &Elem{Col: p.Cols[i], Val: p.Vals[i]}
-		if r.tail == nil {
-			r.head, r.tail = e, e
-		} else {
-			r.tail.next = e
-			r.tail = e
-		}
-		r.n++
+		r.push(s.newElem(p.Cols[i], p.Vals[i]))
 	}
 }
 
@@ -293,7 +326,7 @@ func (s *Sparse) PackRowsTo(p *PackedRows, lo, hi int) {
 // UnpackRows replaces global rows [lo, lo+p.Rows()) with the batch contents,
 // rebuilding each linked list with exactly the per-row UnpackRow cost
 // (resident-size adjustment plus one conversion touch per row, in row
-// order).
+// order). The rows' old elements are recycled.
 func (s *Sparse) UnpackRows(lo int, p *PackedRows) {
 	if len(p.Cols) != len(p.Vals) {
 		panic("matrix: ragged PackedRows")
@@ -305,26 +338,20 @@ func (s *Sparse) UnpackRows(lo int, p *PackedRows) {
 			s.sink.AdjustResident(int64(elemWireBytes * (end - start - r.n)))
 			s.sink.ChargeTouch(int64(elemWireBytes * (end - start)))
 		}
-		r.head, r.tail, r.n = nil, nil, 0
+		s.recycle(r)
 		for j := start; j < end; j++ {
-			e := &Elem{Col: p.Cols[j], Val: p.Vals[j]}
-			if r.tail == nil {
-				r.head, r.tail = e, e
-			} else {
-				r.tail.next = e
-				r.tail = e
-			}
-			r.n++
+			r.push(s.newElem(p.Cols[j], p.Vals[j]))
 		}
 	}
 }
 
-// ClearRow empties global row g (used after its contents were packed and
-// shipped away, before the window shrinks).
+// ClearRow empties global row g and recycles its elements into later
+// Appends and unpacks, so every *Elem and Iter into the row is invalid
+// afterwards, as after free() in the paper's C lists.
 func (s *Sparse) ClearRow(g int) {
 	r := s.row(g)
 	if s.sink != nil {
 		s.sink.AdjustResident(int64(-elemWireBytes * r.n))
 	}
-	r.head, r.tail, r.n = nil, nil, 0
+	s.recycle(r)
 }

@@ -158,7 +158,8 @@ func (g *Grid) Cells() []Cell {
 
 // Validate rejects grids that cannot run: unknown axis values, scenario
 // events targeting nodes outside the smallest world, crashes scheduled
-// after the run ends.
+// after the run ends, and growth of cg, which has no mid-run joiner
+// support.
 func (g *Grid) Validate() error {
 	if len(g.Scenarios) == 0 || len(g.Ranks) == 0 || len(g.GPs) == 0 ||
 		len(g.Overlaps) == 0 || len(g.Faults) == 0 || len(g.Reps) == 0 ||
@@ -208,6 +209,11 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: unknown resize kind %q (want none|grow|growskew)", rz)
 		}
 		if rz == "grow" || rz == "growskew" {
+			for _, s := range g.Scenarios {
+				if s == "cg" {
+					return fmt.Errorf("sweep: scenario cg has no mid-run joiner support, so it cannot run resize=%s cells", rz)
+				}
+			}
 			if g.ResizeAdd < 1 {
 				return fmt.Errorf("sweep: grow cells need ResizeAdd >= 1, have %d", g.ResizeAdd)
 			}

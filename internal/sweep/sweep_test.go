@@ -369,8 +369,58 @@ func TestStreamWriterLiveFromScheduler(t *testing.T) {
 // across the whole resize axis (none/grow/growskew), since membership and
 // skew change only where rows live, never their values.
 func TestGrowSkewChecksums(t *testing.T) {
+	growChecksums(t, "scen=jacobi;ranks=4;rep=0;fault=none")
+}
+
+// TestParticlesGrowChecksums runs the particle simulation through mid-run
+// growth: joiners take their particles from the admission redistribution
+// rather than seeding them, so every fault-free cell's checksum equals its
+// rznone sibling's, and crash cells finish too.
+func TestParticlesGrowChecksums(t *testing.T) {
+	growChecksums(t, "scen=particles;ranks=4;rep=0,1;rma=0,1;fault=none")
 	g := Smoke()
-	if err := g.ParseSpec("scen=jacobi;ranks=4;rep=0;fault=none"); err != nil {
+	if err := g.ParseSpec("scen=particles;ranks=4;rep=1;rma=0;fault=crash"); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	r, err := Run(Options{Grid: g, Jobs: 2})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for _, c := range r.Cells {
+		if c.Err != "" {
+			t.Errorf("cell %s failed: %s", c.Key, c.Err)
+		}
+	}
+}
+
+// TestValidateRejectsCGGrow pins the rejection of cg growth cells: cg has
+// no mid-run joiner support, so such a cell would deadlock its world.
+func TestValidateRejectsCGGrow(t *testing.T) {
+	for _, rz := range []string{"grow", "growskew"} {
+		g := Smoke()
+		if err := g.ParseSpec("scen=jacobi,cg;resize=none," + rz); err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "joiner support") {
+			t.Errorf("resize=%s: Validate = %v, want a missing joiner support error", rz, err)
+		}
+	}
+	g := Smoke()
+	if err := g.ParseSpec("scen=cg,particles;resize=none"); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Errorf("cg without growth rejected: %v", err)
+	}
+}
+
+// growChecksums sweeps the smoke grid narrowed by spec and asserts the
+// resize axis never changes a cell's checksum.
+func growChecksums(t *testing.T, spec string) {
+	t.Helper()
+	g := Smoke()
+	if err := g.ParseSpec(spec); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	r, err := Run(Options{Grid: g, Jobs: 4})
