@@ -444,6 +444,30 @@ func BenchmarkNodeCompute(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeChargeTouch is the sparse store's per-element charge: a warm
+// 12-byte touch on an unloaded node, which hits the memoised charge and the
+// in-slice Compute shortcut and allocates nothing.
+func BenchmarkNodeChargeTouch(b *testing.B) {
+	b.ReportAllocs()
+	n := cluster.New(cluster.Uniform(1)).Node(0)
+	n.ChargeTouch(12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.ChargeTouch(12)
+	}
+}
+
+// BenchmarkWorldSetup is a large world's set-up cost: building a 1024-node
+// cluster and running an MPI world on it whose ranks return at once.
+func BenchmarkWorldSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := mpi.Run(cluster.New(cluster.Uniform(1024)), func(*mpi.Comm) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead prices the observability layer on the canonical
 // loaded-4 scenario: the same adaptive jacobi cell with no sink (the
 // default — instrumentation must cost nothing) and with a ring sink

@@ -83,10 +83,12 @@ type move struct {
 
 // scratch is one rank's step buffers, reused across steps so the steady
 // state allocates nothing. Emigrant slices are not kept here: they are
-// message payloads the neighbour reads after the sender has moved on.
+// message payloads the neighbour reads after the sender has moved on, so
+// each step allocates them afresh, sized by the previous step's counts.
 type scratch struct {
-	row   []particle
-	local []move
+	row        []particle
+	local      []move
+	nUp, nDown int // emigrant counts of the previous step
 }
 
 // Run executes the particle simulation and returns the result. CheckInt is
@@ -194,13 +196,12 @@ func readRow(out []particle, ps *matrix.Sparse, g int) []particle {
 	return out
 }
 
-// integrate advances one particle, bouncing off the domain walls. It is a
-// pure function of the particle's own state, so results are bit-identical
-// regardless of which rank computes it.
-func integrate(pt particle, cfg Config) particle {
-	pt.x += pt.vx * cfg.Dt
-	pt.y += pt.vy * cfg.Dt
-	w, h := float64(cfg.Cols), float64(cfg.Rows)
+// integrate advances one particle by dt, bouncing off the walls of the
+// w×h domain. It is a pure function of the particle's own state, so
+// results are bit-identical regardless of which rank computes it.
+func integrate(pt particle, dt, w, h float64) particle {
+	pt.x += pt.vx * dt
+	pt.y += pt.vy * dt
 	if pt.x < 0 {
 		pt.x, pt.vx = -pt.x, -pt.vx
 	}
@@ -228,14 +229,16 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 	if lo >= hi {
 		return
 	}
-	var emUp, emDown []particle
+	emUp := make([]particle, 0, sc.nUp)
+	emDown := make([]particle, 0, sc.nDown)
 	local := sc.local[:0]
+	dt, w, h := cfg.Dt, float64(cfg.Cols), float64(cfg.Rows)
 	for g := lo; g < hi; g++ {
 		sc.row = readRow(sc.row[:0], ps, g)
 		pts := sc.row
 		ps.ClearRow(g)
 		for _, pt := range pts {
-			pt = integrate(pt, cfg)
+			pt = integrate(pt, dt, w, h)
 			ng := int(math.Floor(pt.y))
 			switch {
 			case ng == g:
@@ -253,7 +256,7 @@ func stepOnce(rt *core.Runtime, ps *matrix.Sparse, cfg Config, sc *scratch) {
 	for _, m := range local {
 		appendParticle(ps, m.g, m.pt)
 	}
-	sc.local = local
+	sc.local, sc.nUp, sc.nDown = local, len(emUp), len(emDown)
 	// Exchange emigrants with the adjacent block owners.
 	comm := rt.Comm()
 	up, down := -1, -1

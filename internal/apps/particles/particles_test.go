@@ -23,16 +23,16 @@ func loadedSpec(n, node, cycle int) cluster.Spec {
 }
 
 func TestIntegrateBounces(t *testing.T) {
-	cfg := Config{Rows: 10, Cols: 10, Dt: 1}
-	pt := integrate(particle{x: 0.5, y: 0.5, vx: -1, vy: -1}, cfg)
+	const dt, w, h = 1, 10, 10
+	pt := integrate(particle{x: 0.5, y: 0.5, vx: -1, vy: -1}, dt, w, h)
 	if pt.x != 0.5 || pt.y != 0.5 || pt.vx != 1 || pt.vy != 1 {
 		t.Fatalf("bounce at origin wrong: %+v", pt)
 	}
-	pt = integrate(particle{x: 9.5, y: 9.5, vx: 1, vy: 1}, cfg)
+	pt = integrate(particle{x: 9.5, y: 9.5, vx: 1, vy: 1}, dt, w, h)
 	if pt.x != 9.5 || pt.y != 9.5 || pt.vx != -1 || pt.vy != -1 {
 		t.Fatalf("bounce at far corner wrong: %+v", pt)
 	}
-	pt = integrate(particle{x: 5, y: 5, vx: 0.25, vy: -0.25}, cfg)
+	pt = integrate(particle{x: 5, y: 5, vx: 0.25, vy: -0.25}, dt, w, h)
 	if pt.x != 5.25 || pt.y != 4.75 {
 		t.Fatalf("free flight wrong: %+v", pt)
 	}

@@ -82,15 +82,20 @@ func Run(cl *cluster.Cluster, cfg Config) (apps.Result, error) {
 
 		// Each half-phase touches half the points of each row.
 		halfRowCost := vclock.Duration(float64(cfg.Cols) * cfg.CostPerElem / 2)
+		rows, cols, omega := cfg.Rows, cfg.Cols, cfg.Omega
 		sweep := func(g, color int) {
-			if g == 0 || g == cfg.Rows-1 {
+			if g == 0 || g == rows-1 {
 				return
 			}
-			up, mid, down := u.Row(g-1), u.Row(g), u.Row(g+1)
-			start := 1 + (g+color+1)%2
-			for j := start; j < cfg.Cols-1; j += 2 {
-				res := 0.25*(up[j]+down[j]+mid[j-1]+mid[j+1]) - mid[j]
-				mid[j] += cfg.Omega * res
+			// Rows resliced to cols, next[j] = mid[j+1], a bound on
+			// len(mid) and a start of 1 or 2 (g and color are non-negative,
+			// so &1 is %2) let the compiler drop the inner loop's bounds
+			// checks.
+			up, mid, down := u.Row(g - 1)[:cols], u.Row(g)[:cols], u.Row(g + 1)[:cols]
+			next := mid[1:]
+			for j := 1 + (g+color+1)&1; j < len(mid)-1; j += 2 {
+				res := 0.25*(up[j]+down[j]+mid[j-1]+next[j]) - mid[j]
+				mid[j] += omega * res
 			}
 		}
 		rowOf := func(g int) []float64 { return u.Row(g) }

@@ -315,6 +315,12 @@ type Node struct {
 	debt      vclock.Duration // CPU owed to competitors before the app runs again
 	resident  int64           // bytes of registered application data
 
+	// touchBytes → touchRef memoises ChargeTouch's Compute argument for
+	// the last non-paging touch size; touchBytes 0 means empty (ChargeTouch
+	// returns early for bytes <= 0).
+	touchBytes int64
+	touchRef   vclock.Duration
+
 	segs         []segment // CP timeline, sorted by start
 	segIdx       int       // index of the segment containing the clock
 	pendingCycle []Event   // cycle-triggered events not yet materialised
@@ -441,12 +447,27 @@ func (n *Node) nextSliceLen() vclock.Duration {
 // Compute executes `cost` of reference CPU work on this node, advancing the
 // wall clock according to the round-robin model and accumulating /PROC CPU
 // time. It returns the wall duration that elapsed.
+//
+// Two exact shortcuts skip the float division and the slice loop: at power
+// 1 a cost up to 2^53 converts to float64 and back unchanged, and work that
+// ends strictly inside the current slice with no competitor debt is one
+// loop iteration that crosses no boundary. The loop-only reference lives
+// in the package tests, which check both paths agree bit for bit.
 func (n *Node) Compute(cost vclock.Duration) vclock.Duration {
 	if cost < 0 {
 		panic("cluster: negative compute cost")
 	}
+	need := cost // node CPU time required
+	if n.power != 1 || cost > 1<<53 {
+		need = vclock.Duration(float64(cost) / n.power)
+	}
+	if n.debt == 0 && n.curSlice != 0 && need < n.curSlice-n.sliceUsed {
+		n.clock.Advance(need)
+		n.cpuUsed += need
+		n.sliceUsed += need
+		return need
+	}
 	start := n.clock.Now()
-	need := vclock.Duration(float64(cost) / n.power) // node CPU time required
 	q := n.cl.quantum
 	for need > 0 {
 		if n.debt > 0 {
@@ -553,18 +574,30 @@ const wakeDelayProb = 0.01
 
 // ChargeTouch charges the cost of writing (or copying into) `bytes` of
 // memory: bytes/MemBandwidth of CPU, plus a disk penalty for the fraction of
-// resident data beyond physical memory. Used by the allocator comparison.
+// resident data beyond physical memory. Every sparse and dense store,
+// redistribution copy and window resize charges its memory traffic here.
+// While not paging the charge depends on bytes alone, so the last size's
+// Compute argument is memoised.
 func (n *Node) ChargeTouch(bytes int64) {
 	if bytes <= 0 {
 		return
 	}
+	paging := n.mem > 0 && n.resident > n.mem
+	if !paging && bytes == n.touchBytes {
+		n.Compute(n.touchRef)
+		return
+	}
 	net := n.cl.spec.Net
 	cost := vclock.FromSeconds(float64(bytes) / net.MemBandwidth)
-	if n.mem > 0 && n.resident > n.mem {
+	if paging {
 		over := float64(n.resident-n.mem) / float64(n.resident)
 		cost += vclock.FromSeconds(over * float64(bytes) / net.DiskBandwidth)
 	}
-	n.Compute(vclock.Duration(float64(cost) * n.power)) // cost is wall-ish; express as reference
+	ref := vclock.Duration(float64(cost) * n.power) // cost is wall-ish; express as reference
+	if !paging {
+		n.touchBytes, n.touchRef = bytes, ref
+	}
+	n.Compute(ref)
 }
 
 // AdjustResident records allocation (positive) or release (negative) of

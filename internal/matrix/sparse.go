@@ -48,7 +48,7 @@ type Sparse struct {
 	sink CostSink
 
 	lo, hi int
-	rows   []*sparseRow
+	rows   []sparseRow // rows[g-lo] is global row g
 
 	// free chains the elements of cleared and replaced rows through next,
 	// for reuse by Append and the unpacks. Rows SetWindow drops are left
@@ -74,14 +74,18 @@ func (s *Sparse) Hi() int { return s.hi }
 // Resident reports whether global row g is resident.
 func (s *Sparse) Resident(g int) bool { return g >= s.lo && g < s.hi }
 
+// row returns global row g. It stays small enough to inline into the
+// per-element paths; the panic message is built out of line.
 func (s *Sparse) row(g int) *sparseRow {
 	if g < s.lo || g >= s.hi {
-		panic(fmt.Sprintf("matrix: %s sparse row %d outside window [%d,%d)", s.Name, g, s.lo, s.hi))
+		s.outsideWindow(g)
 	}
-	if s.rows[g-s.lo] == nil {
-		s.rows[g-s.lo] = &sparseRow{}
-	}
-	return s.rows[g-s.lo]
+	return &s.rows[g-s.lo]
+}
+
+//go:noinline
+func (s *Sparse) outsideWindow(g int) {
+	panic(fmt.Sprintf("matrix: %s sparse row %d outside window [%d,%d)", s.Name, g, s.lo, s.hi))
 }
 
 // SetWindow resizes the resident window to [lo,hi), retaining overlapping
@@ -93,13 +97,10 @@ func (s *Sparse) SetWindow(lo, hi int) {
 		panic(fmt.Sprintf("matrix: %s bad window [%d,%d) of %d", s.Name, lo, hi, s.GlobalRows))
 	}
 	oldLo, oldHi, oldRows := s.lo, s.hi, s.rows
-	newRows := make([]*sparseRow, hi-lo)
+	newRows := make([]sparseRow, hi-lo)
 	var dropped int64
 	for g := oldLo; g < oldHi; g++ {
 		r := oldRows[g-oldLo]
-		if r == nil {
-			continue
-		}
 		if g >= lo && g < hi {
 			newRows[g-lo] = r
 		} else {
@@ -157,9 +158,7 @@ func (s *Sparse) RowHead(g int) *Elem { return s.row(g).head }
 func (s *Sparse) NNZ() int {
 	total := 0
 	for _, r := range s.rows {
-		if r != nil {
-			total += r.n
-		}
+		total += r.n
 	}
 	return total
 }

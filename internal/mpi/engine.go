@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -331,7 +332,15 @@ func (w *World) NewGroup(members []int) *Group {
 	if len(members) == 0 {
 		panic("mpi: empty group")
 	}
-	key := fmt.Sprint(members)
+	// The dedup key spells the members out, space-separated.
+	kb := make([]byte, 0, 8*len(members))
+	for i, m := range members {
+		if i > 0 {
+			kb = append(kb, ' ')
+		}
+		kb = strconv.AppendInt(kb, int64(m), 10)
+	}
+	key := string(kb)
 	w.groups.Lock()
 	if w.groups.byKey == nil {
 		w.groups.byKey = make(map[string]*Group)

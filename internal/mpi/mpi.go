@@ -104,10 +104,10 @@ func matchKey(src, tag int) uint64 {
 // semantics of the old single-queue implementation exactly.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[uint64]*envQueue
-	seq    uint64 // next arrival number
-	total  int    // envelopes currently queued across all keys
+	cond   sync.Cond            // L is &mu
+	queues map[uint64]*envQueue // created on first enqueue
+	seq    uint64               // next arrival number
+	total  int                  // envelopes currently queued across all keys
 
 	// The receiver's posted wait, valid while waiting is true.
 	waiting bool
@@ -216,8 +216,8 @@ func NewWorld(cl *cluster.Cluster) *World {
 	w.dead = make([]atomic.Bool, w.cap)
 	w.boxes = make([]*mailbox, w.cap)
 	for i := range w.boxes {
-		b := &mailbox{queues: make(map[uint64]*envQueue)}
-		b.cond = sync.NewCond(&b.mu)
+		b := &mailbox{}
+		b.cond.L = &b.mu
 		w.boxes[i] = b
 	}
 	members := make([]int, w.n)
@@ -433,6 +433,9 @@ func (w *World) deliver(dst int, env envelope) {
 	key := matchKey(env.src, env.tag)
 	q := box.queues[key]
 	if q == nil {
+		if box.queues == nil {
+			box.queues = make(map[uint64]*envQueue)
+		}
 		q = &envQueue{}
 		box.queues[key] = q
 	}
